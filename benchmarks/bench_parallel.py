@@ -2,27 +2,28 @@
 
 Times the ``trainer.local_compute`` phase of :class:`FederatedTrainer`
 on a fig09-style MLP federation (synthetic blobs, 16 features, 4
-classes, one hidden layer of 128) across execution backends
-(``serial`` / ``thread`` / ``process``, see :mod:`repro.parallel`) and
-worker counts, and reports the scaling curve. The timed regions run
+classes, one hidden layer of 128) on the ``thread`` backend (see
+:mod:`repro.parallel`) against ``serial``, per worker count, and reports
+the scaling curve. Each speedup is the median of interleaved
+serial/thread pairs (see :func:`paired_speedup`). The timed regions run
 under :func:`repro.parallel.blas_limits` so BLAS-pool oversubscription
 never pollutes the comparison.
 
-Byte-identity is the other half of the contract: ``--quick`` trains the
-same seeded FIFL federation once per backend and requires the histories
+Byte-identity is the other half of the contract: every run trains the
+same seeded FIFL federation on both backends and requires the histories
 (losses, accept verdicts, rewards, final parameters) to match the
 serial run *exactly* — not to tolerance.
 
 Speedup expectations are core-gated: the machine's usable core count is
-recorded in the manifest, the smoke gate (``speedup > 1.0``) applies
-from 2 cores and the 2x target from 4 cores. On a 1-core container the
-curve is still recorded (it documents dispatch overhead) but no speedup
-assertion can be meaningful.
+recorded in the manifest, the smoke gate (median paired speedup
+``> 1.0``) applies from 2 cores and the 2x target from 4 cores. On a
+1-core container the curve is still recorded (it documents dispatch
+overhead) but no speedup assertion can be meaningful.
 
 CLI (no pytest needed)::
 
     python benchmarks/bench_parallel.py            # N in {64, 256}
-    python benchmarks/bench_parallel.py --quick    # differentials + smoke gate
+    python benchmarks/bench_parallel.py --quick    # differential + smoke gate
     python benchmarks/bench_parallel.py --json out.json
     python benchmarks/bench_parallel.py --record   # benchmarks/BENCH_parallel.json
 """
@@ -30,8 +31,8 @@ CLI (no pytest needed)::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -47,16 +48,17 @@ from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker
 from repro.population import WorkerPopulation
 from repro.nn import build_mlp
 from repro.parallel import auto_workers, blas_limits
-from repro.profiling import Profiler
-from repro.telemetry import run_manifest, write_manifest
+from repro.telemetry import Telemetry, run_manifest, write_manifest
 
 #: the phase the parallel fleet path shards across cores
 LOCAL_PHASE = "trainer.local_compute"
 
 DEFAULT_SIZES = (64, 256)
 DEFAULT_ROUNDS = 10
+DEFAULT_PAIRS = 3
 WORKER_COUNTS = (1, 2, 4)
-PARALLEL_BACKENDS = ("thread", "process")
+#: smoke scale: big enough that two threads are expected to win
+QUICK_SIZE, QUICK_ROUNDS, QUICK_PAIRS, QUICK_WORKERS = 256, 3, 5, 2
 N_FEATURES, N_CLASSES, HIDDEN = 16, 4, (128,)
 SAMPLES_PER_WORKER, BATCH_SIZE, LOCAL_ITERS = 100, 16, 2
 
@@ -117,43 +119,61 @@ def make_trainer(
         max_workers=max_workers,
     )
     # isolate timings from the global profiler
-    trainer.profiler = Profiler()
+    trainer.profiler = Telemetry()
     return trainer
 
 
-def time_backend(
-    backend: str,
+def _local_seconds(trainer: FederatedTrainer, rounds: int) -> float:
+    """``local_compute`` seconds of one ``rounds``-round run."""
+    with blas_limits(1):
+        history = trainer.run(rounds, eval_every=rounds)
+    return history.profile["timings"].get(LOCAL_PHASE, {}).get("seconds", 0.0)
+
+
+def paired_speedup(
     num_workers: int,
     rounds: int,
-    max_workers: int | None = None,
+    max_workers: int,
+    pairs: int,
     seed: int = 0,
-    repeats: int = 2,
 ) -> dict:
-    """Best-of-``repeats`` ``local_compute`` seconds for one backend.
+    """Median serial/thread ``local_compute`` ratio over interleaved pairs.
+
+    One serial and one thread trainer are built and warmed once; each
+    pair then times ``rounds`` rounds of both, alternating which side
+    goes first, so slow drift (a noisy neighbour, frequency scaling)
+    lands on both sides of every ratio. The median of the per-pair
+    ratios is the headline; min/max give its spread.
 
     Timed under ``blas_limits(1)`` so serial and parallel contend for
     the same one-BLAS-thread-per-shard budget — without the guard, a
     multi-threaded BLAS makes "serial" secretly parallel and the
     comparison meaningless.
     """
-    warm = make_trainer(num_workers, backend, max_workers, seed=seed + 77)
-    warm.run(1, eval_every=1)
-    best: dict | None = None
-    for _ in range(repeats):
-        trainer = make_trainer(num_workers, backend, max_workers, seed=seed)
-        with blas_limits(1):
-            t0 = time.perf_counter()
-            history = trainer.run(rounds, eval_every=rounds)
-            total = time.perf_counter() - t0
-        phases = history.profile["timings"]
-        run = {
-            "total_s": total,
-            "local_s": phases.get(LOCAL_PHASE, {}).get("seconds", 0.0),
-        }
-        if best is None or run["local_s"] < best["local_s"]:
-            best = run
-        trainer.backend.close()
-    return best
+    serial = make_trainer(num_workers, "serial", seed=seed)
+    thread = make_trainer(num_workers, "thread", max_workers, seed=seed)
+    try:
+        for trainer in (serial, thread):
+            trainer.run(1, eval_every=1)
+        serial_s, thread_s = [], []
+        for i in range(pairs):
+            if i % 2 == 0:
+                serial_s.append(_local_seconds(serial, rounds))
+                thread_s.append(_local_seconds(thread, rounds))
+            else:
+                thread_s.append(_local_seconds(thread, rounds))
+                serial_s.append(_local_seconds(serial, rounds))
+    finally:
+        thread.backend.close()
+    ratios = [s / max(t, 1e-12) for s, t in zip(serial_s, thread_s)]
+    return {
+        "serial_local_s": statistics.median(serial_s),
+        "local_s": statistics.median(thread_s),
+        "speedup_local": statistics.median(ratios),
+        "speedup_min": min(ratios),
+        "speedup_max": max(ratios),
+        "pairs": pairs,
+    }
 
 
 def history_fingerprint(trainer: FederatedTrainer, rounds: int) -> dict:
@@ -175,7 +195,7 @@ def check_differentials(
     num_workers: int = 16, rounds: int = 4, seed: int = 0,
     worker_counts: tuple[int, ...] = (2,),
 ) -> dict[str, bool]:
-    """Byte-identity of every parallel backend against the serial oracle.
+    """Byte-identity of the thread backend against the serial oracle.
 
     Runs the full FIFL pipeline (fleet local SGD + sharded round
     kernels) and compares histories and final parameters with ``==`` —
@@ -186,17 +206,15 @@ def check_differentials(
         make_trainer(num_workers, "serial", seed=seed, with_fifl=True), rounds
     )
     verdicts: dict[str, bool] = {}
-    for backend in PARALLEL_BACKENDS:
-        for mw in worker_counts:
-            got = history_fingerprint(
-                make_trainer(num_workers, backend, mw, seed=seed, with_fifl=True),
-                rounds,
-            )
-            identical = bool(
-                np.array_equal(oracle["params"], got["params"])
-                and oracle["rounds"] == got["rounds"]
-            )
-            verdicts[f"{backend}_w{mw}"] = identical
+    for mw in worker_counts:
+        got = history_fingerprint(
+            make_trainer(num_workers, "thread", mw, seed=seed, with_fifl=True),
+            rounds,
+        )
+        verdicts[f"thread_w{mw}"] = bool(
+            np.array_equal(oracle["params"], got["params"])
+            and oracle["rounds"] == got["rounds"]
+        )
     return verdicts
 
 
@@ -204,31 +222,24 @@ def run_benchmark(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     rounds: int = DEFAULT_ROUNDS,
     worker_counts: tuple[int, ...] = WORKER_COUNTS,
+    pairs: int = DEFAULT_PAIRS,
     seed: int = 0,
 ) -> dict:
-    """Serial baseline + thread/process scaling curve per federation size."""
+    """Paired serial/thread scaling curve per federation size.
+
+    ``bitwise_identical`` is left for the caller, which runs
+    :func:`check_differentials` before any timing.
+    """
     cores = auto_workers()
     by_size: dict[int, dict] = {}
     for n in sizes:
-        serial = time_backend("serial", n, rounds, seed=seed)
-        scaling: dict[str, dict] = {}
-        best_speedup = 0.0
-        for backend in PARALLEL_BACKENDS:
-            curve: dict[str, dict] = {}
-            for mw in worker_counts:
-                timing = time_backend(backend, n, rounds, mw, seed=seed)
-                speedup = serial["local_s"] / max(timing["local_s"], 1e-12)
-                curve[str(mw)] = {
-                    "local_s": timing["local_s"],
-                    "total_s": timing["total_s"],
-                    "speedup_local": speedup,
-                }
-                best_speedup = max(best_speedup, speedup)
-            scaling[backend] = curve
+        curve = {
+            str(mw): paired_speedup(n, rounds, mw, pairs, seed=seed)
+            for mw in worker_counts
+        }
         by_size[n] = {
-            "serial": serial,
-            "scaling": scaling,
-            "speedup_best": best_speedup,
+            "scaling": {"thread": curve},
+            "speedup_best": max(e["speedup_local"] for e in curve.values()),
         }
     return {
         "model": f"mlp{list(HIDDEN)}",
@@ -237,10 +248,10 @@ def run_benchmark(
         "batch_size": BATCH_SIZE,
         "local_iters": LOCAL_ITERS,
         "rounds": rounds,
+        "pairs": pairs,
         "cores": cores,
         "worker_counts": list(worker_counts),
         "by_size": by_size,
-        "bitwise_identical": all(check_differentials().values()),
     }
 
 
@@ -248,18 +259,17 @@ def format_report(result: dict) -> list[str]:
     rows = [
         f"Parallel-backend benchmark ({result['model']}, B={result['batch_size']}, "
         f"{result['local_iters']} local iters, {result['rounds']} rounds per "
-        f"timing, {result['cores']} usable core(s))"
+        f"timing, median of {result['pairs']} serial/thread pairs, "
+        f"{result['cores']} usable core(s))"
     ]
     for n, r in result["by_size"].items():
-        rows.append(
-            f"N={n}: serial local_compute {r['serial']['local_s']:.4f}s"
-        )
-        for backend, curve in r["scaling"].items():
-            for mw, entry in curve.items():
-                rows.append(
-                    f"  {backend:>8} x{mw}: {entry['local_s']:.4f}s "
-                    f"({entry['speedup_local']:.2f}x)"
-                )
+        rows.append(f"N={n}:")
+        for mw, e in r["scaling"]["thread"].items():
+            rows.append(
+                f"  thread x{mw}: serial {e['serial_local_s']:.4f}s, "
+                f"thread {e['local_s']:.4f}s ({e['speedup_local']:.2f}x, "
+                f"pairs {e['speedup_min']:.2f}-{e['speedup_max']:.2f}x)"
+            )
         rows.append(f"  best speedup: {r['speedup_best']:.2f}x")
     rows.append(
         f"bitwise identical to serial: {result['bitwise_identical']}"
@@ -271,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smoke scale + serial/thread/process byte-identity gate",
+        help=f"smoke scale (N={QUICK_SIZE}, thread x{QUICK_WORKERS}, "
+        f"{QUICK_PAIRS} pairs) + serial/thread byte-identity gate",
     )
     parser.add_argument(
         "--sizes", default="",
@@ -287,10 +298,10 @@ def main(argv: list[str] | None = None) -> int:
 
     cores = auto_workers()
     sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip()) or DEFAULT_SIZES
-    rounds = args.rounds
-    worker_counts = WORKER_COUNTS
+    rounds, pairs, worker_counts = args.rounds, DEFAULT_PAIRS, WORKER_COUNTS
     if args.quick:
-        sizes, rounds, worker_counts = (64,), min(rounds, 3), (2,)
+        sizes, worker_counts = (QUICK_SIZE,), (QUICK_WORKERS,)
+        rounds, pairs = QUICK_ROUNDS, QUICK_PAIRS
 
     verdicts = check_differentials(worker_counts=(2,))
     for key, ok in verdicts.items():
@@ -298,7 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     if not all(verdicts.values()):
         return 1
 
-    result = run_benchmark(sizes=sizes, rounds=rounds, worker_counts=worker_counts)
+    result = run_benchmark(
+        sizes=sizes, rounds=rounds, worker_counts=worker_counts, pairs=pairs
+    )
+    result["bitwise_identical"] = all(verdicts.values())
     for row in format_report(result):
         print(row)
 
@@ -306,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     # behaviour, not scheduler luck on an oversubscribed single core.
     best = max(r["speedup_best"] for r in result["by_size"].values())
     if cores >= 2 and best <= 1.0:
-        print(f"FAIL: best parallel speedup {best:.2f}x <= 1.0 on {cores} cores")
+        print(f"FAIL: best median paired speedup {best:.2f}x <= 1.0 on {cores} cores")
         return 1
     if cores >= 4 and not args.quick and 256 in result["by_size"]:
         target = result["by_size"][256]["speedup_best"]
@@ -317,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     run_manifest(
         "bench_parallel",
         config={
-            "sizes": list(sizes), "rounds": rounds, "seed": 0,
+            "sizes": list(sizes), "rounds": rounds, "pairs": pairs, "seed": 0,
             "quick": args.quick, "cores": cores,
         },
         results=result,

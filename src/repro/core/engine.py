@@ -50,20 +50,13 @@ class RoundBatch:
     _row_sqnorms: np.ndarray | None = None  # lazy ||G_i||² cache
 
     @classmethod
-    def from_context(
-        cls, ctx: RoundContext, shared: bool = False
-    ) -> "RoundBatch | None":
+    def from_context(cls, ctx: RoundContext) -> "RoundBatch | None":
         """Stack ``ctx.slices`` into the batched layout (None if empty).
 
         Workers in ``ctx.slices`` delivered a complete slice set (the
         trainer routes partial deliveries to ``ctx.uncertain`` instead),
         so each row is the worker's full gradient reassembled in server
         order — exactly ``recombine(slices)`` of the scalar path.
-
-        ``shared=True`` places the stacked matrix in a
-        ``multiprocessing`` shared-memory segment (when the platform
-        allows), so worker-shard consumers in other processes can map
-        the same round batch zero-copy.
         """
         ids = sorted(ctx.slices)
         if not ids:
@@ -72,12 +65,7 @@ class RoundBatch:
         first = ctx.slices[ids[0]]
         dim = sum(first[srv].size for srv in server_ranks)
         offsets = slice_offsets(dim, len(server_ranks))
-        if shared:
-            from ..population.sharding import allocate_gradient_matrix
-
-            gradients, _ = allocate_gradient_matrix(len(ids), dim, shared=True)
-        else:
-            gradients = np.empty((len(ids), dim))
+        gradients = np.empty((len(ids), dim))
         for j, srv in enumerate(server_ranks):
             block = gradients[:, offsets[j] : offsets[j + 1]]
             for i, wid in enumerate(ids):

@@ -26,10 +26,10 @@ Two interchangeable engines implement the pipeline (``FIFLConfig.engine``):
   per-round output (see ``tests/core/test_engine.py``).
 
 Phase wall-clock lands in :mod:`repro.telemetry` spans under ``fifl.*``
-keys (the legacy :mod:`repro.profiling` snapshot still sees them). Each
-round additionally emits one ``fifl.round`` trace event — flagged
-workers, detection margins against ``S_y``, reputation deltas, rewards,
-and the reward-fairness gauges (Gini, normalized share entropy) — plus,
+keys. Each round additionally emits one ``fifl.round`` trace event —
+flagged workers, detection margins against ``S_y``, reputation deltas,
+rewards, and the reward-fairness gauges (Gini, normalized share
+entropy) — plus,
 with ``FIFLConfig.audit`` (the default), the full attribution payload
 (absolute reputations, contributions, shares, ``b_h``) so a JSONL trace
 reconstructs every decision the mechanism made (see :mod:`repro.audit`).
@@ -48,14 +48,9 @@ import numpy as np
 from ..fl.gradients import fedavg, recombine, slice_offsets, split_gradient
 from ..fl.trainer import RoundContext, RoundDecision
 from ..metrics.fairness import reward_fairness
-from ..parallel.backend import (
-    BACKENDS,
-    ExecutionBackend,
-    emit_parallel_telemetry,
-    make_backend,
-)
+from ..parallel.backend import ExecutionBackend, emit_parallel_telemetry
 from ..population.sharding import balanced_shards, iter_row_shards
-from ..profiling import Profiler, get_profiler
+from ..telemetry import Telemetry, get_telemetry
 from .contribution import (
     contributions,
     contributions_array,
@@ -131,14 +126,10 @@ class FIFLConfig:
     # and gradient distances are per-row reductions, so processing row
     # blocks of at most ``shard_size`` workers bounds kernel temporaries
     # by shard size at identical results (None = whole cohort at once).
+    # The shards run on the pool the trainer hands the mechanism through
+    # attach_backend(), or inline when it has none; they reduce in shard
+    # order, so every backend is byte-identical to serial.
     shard_size: int | None = None
-    # Execution backend for the sharded kernels ("serial" | "thread" |
-    # "process", see repro.parallel). "serial" additionally lets a trainer
-    # share its own pool via attach_backend(); a non-serial value makes
-    # the mechanism own a private pool. Either way shard results reduce
-    # in shard order, so every backend is byte-identical to serial.
-    backend: str = "serial"
-    max_workers: int | None = None
     # Emit the full attribution payload (absolute reputations, contribution
     # shares, baseline b_h) on every ``fifl.round`` event so an offline
     # trace reconstructs the complete decision lineage (repro.audit). Off
@@ -148,10 +139,6 @@ class FIFLConfig:
     def __post_init__(self) -> None:
         if self.shard_size is not None and self.shard_size <= 0:
             raise ValueError("shard_size must be positive (or None)")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive (or None for auto)")
         if self.contribution_baseline not in ("zero", "reference"):
             raise ValueError(
                 "contribution_baseline must be 'zero' or 'reference'"
@@ -179,7 +166,7 @@ class FIFLMechanism:
         self,
         config: FIFLConfig | None = None,
         ledger=None,
-        profiler: Profiler | None = None,
+        profiler: Telemetry | None = None,
     ):
         self.config = config if config is not None else FIFLConfig()
         self.detector = AttackDetector(self.config.detection)
@@ -190,11 +177,10 @@ class FIFLMechanism:
         self.slm = SLMReputation(alpha_t=a_t, alpha_n=a_n, alpha_u=a_u)
         self._rounds_seen = 0
         self.ledger = ledger
-        # Execution backend for the sharded round kernels: built lazily
-        # from the config when it names a pool, or adopted from the
-        # trainer via attach_backend() (one shared pool per training run).
+        # Execution backend for the sharded round kernels, adopted from
+        # the trainer via attach_backend() (one shared pool per run).
         self._backend: ExecutionBackend | None = None
-        self.profiler = profiler if profiler is not None else get_profiler()
+        self.profiler = profiler if profiler is not None else get_telemetry()
         self.records: list[FIFLRoundRecord] = []
         self._cumulative_rewards: dict[int, float] = {}
         # previous round's reputation vector, for per-round delta telemetry
@@ -211,19 +197,11 @@ class FIFLMechanism:
     # -- helpers ---------------------------------------------------------------
 
     def attach_backend(self, backend: ExecutionBackend) -> None:
-        """Adopt the trainer's shared execution backend.
-
-        Only when the config left ``backend="serial"`` — an explicit
-        non-serial config means the mechanism owns its private pool and
-        the trainer's is ignored.
-        """
-        if self.config.backend == "serial" and backend is not None:
-            self._backend = backend
+        """Adopt the trainer's shared execution backend."""
+        self._backend = backend
 
     def _active_backend(self) -> ExecutionBackend | None:
         """The pool to shard kernels over, or ``None`` for inline serial."""
-        if self._backend is None and self.config.backend != "serial":
-            self._backend = make_backend(self.config.backend, self.config.max_workers)
         backend = self._backend
         if backend is not None and backend.name != "serial":
             return backend

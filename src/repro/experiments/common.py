@@ -179,8 +179,8 @@ class FedExpConfig:
     # many workers per shard (None = whole cohort at once)
     shard_size: int | None = None
     # execution backend for the fleet GEMMs and sharded round kernels:
-    # "serial" | "thread" | "process" (repro.parallel). One pool is owned
-    # by the trainer and shared with the mechanism; every backend is
+    # "serial" | "thread" (repro.parallel). One pool is owned by the
+    # trainer and shared with the mechanism; the thread backend is
     # byte-identical to serial, so this is purely a throughput knob.
     backend: str = "serial"
     max_workers: int | None = None

@@ -7,18 +7,16 @@ package adds the execution layer that spreads those row shards across
 cores behind one switch::
 
     FederatedTrainer(..., backend="thread", max_workers=4)
-    FedExpConfig(backend="process")
+    FedExpConfig(backend="thread")
 
-* :mod:`repro.parallel.backend` — ``serial`` (the differential oracle),
-  ``thread`` (persistent pool; the big NumPy kernels release the GIL) and
-  ``process`` (dedicated slot processes with lazily-replicated read-only
-  state and shared-memory gradient writes) behind
-  :func:`make_backend`, all with ordered-reduce semantics so results are
-  byte-identical to serial regardless of shard completion order.
+* :mod:`repro.parallel.backend` — ``serial`` (the differential oracle)
+  and ``thread`` (persistent pool; the big NumPy kernels release the
+  GIL) behind :func:`make_backend`, both with ordered-reduce semantics
+  so results are byte-identical to serial regardless of shard
+  completion order. The trainer owns the one pool of a run and hands it
+  to the mechanism (``attach_backend``).
 * :mod:`repro.parallel.blas` — :func:`blas_limits`, the BLAS/OMP
   thread-count guard against ``pool x blas`` oversubscription.
-* :mod:`repro.parallel.fleet_tasks` — the picklable process-pool side of
-  the fleet engine.
 
 Telemetry: every parallel dispatch emits ``parallel.*`` metrics and one
 ``parallel.round`` event (pool size, shard count, per-shard wall time,
@@ -29,9 +27,7 @@ shards stalling far beyond their siblings.
 from .backend import (
     BACKENDS,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
-    ShardCrash,
     ThreadBackend,
     auto_workers,
     backend_summary,
@@ -39,22 +35,16 @@ from .backend import (
     make_backend,
 )
 from .blas import blas_limits, blas_thread_count
-from .fleet_tasks import FleetShardState, evict_shard_state, fleet_shard_task
 
 __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
-    "ShardCrash",
     "auto_workers",
     "backend_summary",
     "emit_parallel_telemetry",
     "make_backend",
     "blas_limits",
     "blas_thread_count",
-    "FleetShardState",
-    "fleet_shard_task",
-    "evict_shard_state",
 ]

@@ -1,8 +1,8 @@
 """BLAS/OMP thread-count guard: stop library-level oversubscription.
 
 NumPy's BLAS (OpenBLAS here) keeps its own thread pool. When the
-execution backend shards a GEMM-heavy phase across Python threads or
-processes, every shard's BLAS call would otherwise fan out over *all*
+execution backend shards a GEMM-heavy phase across Python threads,
+every shard's BLAS call would otherwise fan out over *all*
 cores — ``pool_size x blas_threads`` runnable threads on ``cores``
 cores, which thrashes caches and routinely makes "parallel" slower than
 serial. :func:`blas_limits` pins the BLAS pool for the duration of a
@@ -19,8 +19,7 @@ Resolution order (best effort, degrading gracefully):
    via :mod:`ctypes` (covers the scipy-openblas wheels where
    ``threadpoolctl`` is absent);
 3. the ``*_NUM_THREADS`` environment variables — only effective for
-   libraries loaded (or processes spawned) afterwards, which is exactly
-   the process-pool case that needs the guard most.
+   libraries loaded (or processes spawned) afterwards.
 
 All three paths restore the previous state on exit, and the context
 manager is a silent no-op when nothing can be controlled — a guard, not

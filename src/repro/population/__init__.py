@@ -23,7 +23,7 @@ from .sampler import (
     make_sampler,
     reputation_weighted_reference,
 )
-from .sharding import SharedGradientBuffer, allocate_gradient_matrix, iter_row_shards
+from .sharding import iter_row_shards
 from .store import ReputationStore
 
 __all__ = [
@@ -37,6 +37,4 @@ __all__ = [
     "make_sampler",
     "SAMPLER_NAMES",
     "iter_row_shards",
-    "SharedGradientBuffer",
-    "allocate_gradient_matrix",
 ]

@@ -8,24 +8,13 @@ instead:
 * :func:`iter_row_shards` — chunked ``[start, stop)`` row windows (the
   kernels in :mod:`repro.core.detection` / :mod:`repro.core.contribution`
   are pure per-row reductions, so sharding is exact);
-* :class:`SharedGradientBuffer` — an optional
-  ``multiprocessing.shared_memory`` backing for the stacked gradient
-  matrix, so a future multi-process backend can map the same round
-  batch zero-copy. Creation falls back to a plain array when the
-  platform denies shared memory (some sandboxes do), keeping the
-  single-process path dependency-free.
+* :func:`balanced_shards` — near-equal windows, one per pool slot, for
+  the parallel backend's dispatches.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = [
-    "iter_row_shards",
-    "balanced_shards",
-    "SharedGradientBuffer",
-    "allocate_gradient_matrix",
-]
+__all__ = ["iter_row_shards", "balanced_shards"]
 
 
 def iter_row_shards(num_rows: int, shard_size: int | None):
@@ -67,62 +56,3 @@ def balanced_shards(num_rows: int, num_shards: int) -> list[tuple[int, int]]:
         shards.append((start, start + size))
         start += size
     return shards
-
-
-class SharedGradientBuffer:
-    """A ``(rows, dim)`` float64 matrix, optionally in shared memory."""
-
-    def __init__(self, rows: int, dim: int, shared: bool = False):
-        if rows <= 0 or dim <= 0:
-            raise ValueError("rows and dim must be positive")
-        self.rows, self.dim = int(rows), int(dim)
-        self._shm = None
-        if shared:
-            try:
-                from multiprocessing import shared_memory
-
-                self._shm = shared_memory.SharedMemory(
-                    create=True, size=rows * dim * 8
-                )
-                self.array = np.ndarray(
-                    (rows, dim), dtype=np.float64, buffer=self._shm.buf
-                )
-            except (ImportError, OSError):
-                self._shm = None
-        if self._shm is None:
-            self.array = np.empty((rows, dim), dtype=np.float64)
-
-    @property
-    def is_shared(self) -> bool:
-        return self._shm is not None
-
-    @property
-    def name(self) -> str | None:
-        """Shared-memory segment name for cross-process attach (or None)."""
-        return self._shm.name if self._shm is not None else None
-
-    def close(self) -> None:
-        """Release the shared segment (no-op for the plain-array fallback)."""
-        if self._shm is not None:
-            # Drop the mapping before unlinking; the array keeps the
-            # buffer alive otherwise and unlink would leak on some OSes.
-            self.array = self.array.copy()
-            self._shm.close()
-            self._shm.unlink()
-            self._shm = None
-
-    def __enter__(self) -> "SharedGradientBuffer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def allocate_gradient_matrix(
-    rows: int, dim: int, shared: bool = False
-) -> tuple[np.ndarray, SharedGradientBuffer | None]:
-    """The round batch's backing store: plain array or shared segment."""
-    if not shared:
-        return np.empty((rows, dim), dtype=np.float64), None
-    buf = SharedGradientBuffer(rows, dim, shared=True)
-    return buf.array, buf

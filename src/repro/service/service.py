@@ -398,10 +398,8 @@ class FederationService:
                         # must rebuild at checkpoints too — otherwise the
                         # engine's build telemetry appears in a resumed
                         # trace but not the uninterrupted one.
-                        if trainer._fleet is not None:
-                            trainer._fleet.close()
-                            trainer._fleet = None
-                            trainer._fleet_key = None
+                        trainer._fleet = None
+                        trainer._fleet_key = None
                         if self._signal_requested is not None:
                             break
                     if kill_after_round is not None and t == kill_after_round:

@@ -201,7 +201,7 @@ class TestTrainerWiring:
         ]
         monitor = Monitor(MonitorConfig(postmortem_dir=str(tmp_path),
                                         run_id="boom"))
-        # fresh global hub: the trainer binds get_profiler() at
+        # fresh global hub: the trainer binds get_telemetry() at
         # construction, and a shared suite-wide hub may carry another
         # test's pending events into this monitor
         hub = Telemetry(sinks=[MemorySink()])

@@ -1,9 +1,4 @@
-"""Execution-backend contract tests: ordered reduce, stats, crash paths.
-
-The process-pool tasks below are module-level functions on purpose —
-pickle serializes functions by reference, so anything shipped to a slot
-process must be importable by name.
-"""
+"""Execution-backend contract tests: ordered reduce, stats, crash paths."""
 
 import time
 
@@ -12,9 +7,7 @@ import pytest
 
 from repro.parallel import (
     BACKENDS,
-    ProcessBackend,
     SerialBackend,
-    ShardCrash,
     auto_workers,
     emit_parallel_telemetry,
     make_backend,
@@ -116,24 +109,12 @@ class TestCrash:
         finally:
             b.close()
 
-    def test_process_crash_carries_original_traceback(self):
-        b = ProcessBackend(max_workers=2)
-        try:
-            with pytest.raises(ShardCrash) as err:
-                b.run([(_square, (1,)), (_boom, ())])
-            assert "ValueError: shard exploded" in err.value.original_traceback
-            assert "_boom" in err.value.original_traceback
-            # the formatted child stack is also in the message itself
-            assert "shard exploded" in str(err.value)
-        finally:
-            b.close()
-
     def test_pool_survives_a_crash(self):
-        # a task exception must not kill the slot: the next run succeeds
-        b = ProcessBackend(max_workers=2)
+        # a task exception must not kill the pool: the next run succeeds
+        b = make_backend("thread", max_workers=2)
         try:
-            with pytest.raises(ShardCrash):
-                b.run([(_boom, ())])
+            with pytest.raises(ValueError, match="shard exploded"):
+                b.run([(_square, (1,)), (_boom, ())])
             assert b.run([(_square, (4,))]) == [16]
         finally:
             b.close()
@@ -148,6 +129,12 @@ class TestFactory:
         with pytest.raises(ValueError, match="backend"):
             make_backend("gpu")
 
+    def test_process_name_raises(self):
+        # a name outside BACKENDS raises; it never falls back to serial
+        assert BACKENDS == ("serial", "thread")
+        with pytest.raises(ValueError, match=r"\('serial', 'thread'\)"):
+            make_backend("process", max_workers=2)
+
     def test_nonpositive_workers_raise(self):
         with pytest.raises(ValueError):
             make_backend("thread", max_workers=0)
@@ -155,21 +142,8 @@ class TestFactory:
     def test_auto_workers_positive(self):
         assert auto_workers() >= 1
 
-    def test_slot_assignment_is_stable(self):
-        b = ProcessBackend(max_workers=2)
-        try:
-            assert [b.slot_for(i) for i in range(5)] == [0, 1, 0, 1, 0]
-        finally:
-            b.close()
-
     @pytest.mark.parametrize("name", BACKENDS)
     def test_close_is_idempotent(self, name):
         b = make_backend(name, max_workers=1)
         b.close()
         b.close()
-
-    def test_closed_process_backend_rejects_runs(self):
-        b = ProcessBackend(max_workers=1)
-        b.close()
-        with pytest.raises(RuntimeError):
-            b.run([(_square, (2,))])

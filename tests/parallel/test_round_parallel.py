@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import make_mechanism
-from repro.core.fifl import FIFLConfig
 from repro.fl.gradients import split_gradient
-from repro.fl.trainer import RoundContext
+from repro.fl.trainer import FederatedTrainer, RoundContext
 from repro.fl.workers import WorkerUpdate
 from repro.monitor.alerts import MonitorConfig
 from repro.monitor.rules import RuleEngine
 from repro.parallel import make_backend
+from repro.population import WorkerPopulation
+from tests.helpers import make_federation, model_fn
 
 NUM_WORKERS = 24
 DIM = 256
@@ -55,31 +56,28 @@ def run_rounds(mech, rounds=3, seed=0):
 
 
 class TestShardedKernels:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     @pytest.mark.parametrize("mw", [1, 2, 4])
     def test_mechanism_byte_identical_to_serial(self, backend, mw):
         serial = run_rounds(make_mechanism("fifl", threshold=0.0))
-        parallel = run_rounds(
-            make_mechanism(
-                "fifl", threshold=0.0, backend=backend, max_workers=mw
-            )
-        )
-        assert parallel == serial
-
-    def test_attach_backend_adopts_only_when_serial(self):
-        shared = make_backend("thread", max_workers=2)
+        pool = make_backend(backend, max_workers=mw)
         try:
             mech = make_mechanism("fifl", threshold=0.0)
+            mech.attach_backend(pool)
+            assert run_rounds(mech) == serial
+        finally:
+            pool.close()
+
+    def test_attach_backend_adopts_only_parallel_pools(self):
+        mech = make_mechanism("fifl", threshold=0.0)
+        assert mech._active_backend() is None
+        shared = make_backend("thread", max_workers=2)
+        try:
             mech.attach_backend(shared)
             assert mech._active_backend() is shared
-
-            own = make_mechanism(
-                "fifl", threshold=0.0, backend="thread", max_workers=2
-            )
-            own.attach_backend(shared)
-            private = own._active_backend()
-            assert private is not shared
-            private.close()
+            # a serial pool means inline kernels, never a private pool
+            mech.attach_backend(make_backend("serial"))
+            assert mech._active_backend() is None
         finally:
             shared.close()
 
@@ -95,13 +93,27 @@ class TestShardedKernels:
 
 
 class TestConfigValidation:
+    """The trainer is the one place a run chooses its pool."""
+
+    @staticmethod
+    def _trainer(**kw):
+        workers, _, test = make_federation(num_workers=4)
+        return FederatedTrainer(
+            model_fn(0)(),
+            population=WorkerPopulation.from_workers(workers),
+            server_ranks=[0, 1],
+            test_data=test,
+            mechanism=make_mechanism("fifl", threshold=0.0),
+            **kw,
+        )
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            FIFLConfig(backend="gpu")
+            self._trainer(backend="gpu")
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError):
-            FIFLConfig(max_workers=0)
+            self._trainer(backend="thread", max_workers=0)
 
 
 def _round_event(shard_s, phase="local_compute", backend="thread"):

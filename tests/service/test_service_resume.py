@@ -10,6 +10,7 @@ numbering from the snapshot alone.
 """
 
 import signal
+from dataclasses import replace
 
 import pytest
 
@@ -191,6 +192,18 @@ class TestRunValidation:
     def test_resume_from_empty_dir_raises(self, tmp_path):
         with pytest.raises(SnapshotError, match="no snapshots"):
             FederationService.resume(tmp_path / "empty")
+
+    def test_resume_of_process_backend_snapshot_raises(self, tmp_path):
+        # a snapshot whose pickled config names the "process" backend
+        # must refuse to resume, not fall back to serial
+        set_telemetry(_fresh_hub())
+        cfg = make_preset("blobs-fifl", rounds=ROUNDS, checkpoint_every=5)
+        service = FederationService(cfg, tmp_path / "svc")
+        service.run(until_round=5)
+        service.config = replace(cfg, fed=replace(cfg.fed, backend="process"))
+        service.save()
+        with pytest.raises(ValueError, match=r"\('serial', 'thread'\)"):
+            FederationService.resume(tmp_path / "svc")
 
 
 class TestPruning:
