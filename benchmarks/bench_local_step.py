@@ -48,6 +48,7 @@ from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker, evaluate
 from repro.nn import build_mlp
 from repro.parallel import blas_limits
+from repro.population import WorkerPopulation
 from repro.telemetry import Telemetry, run_manifest, write_manifest
 
 #: the phase whose fleet-batching the tentpole targets
@@ -112,7 +113,7 @@ def make_trainer(
         )
     trainer = FederatedTrainer(
         model_fn(),
-        workers,
+        WorkerPopulation.from_workers(workers),
         server_ranks=[0, 1],
         test_data=test,
         server_lr=0.05,

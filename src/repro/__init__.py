@@ -8,7 +8,7 @@ Subpackages
 ``repro.datasets``
     Synthetic datasets, partitioners, label poisoning.
 ``repro.comm``
-    In-process lossy message passing and FL topologies.
+    In-process lossy message passing with byte accounting.
 ``repro.fl``
     Federated substrate: workers, attackers, trainer.
 ``repro.core``

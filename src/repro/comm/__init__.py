@@ -1,21 +1,5 @@
-"""In-process communication substrate: lossy channels and FL topologies."""
+"""In-process communication substrate: lossy channels with byte accounting."""
 
 from .channel import DropLog, Message, Network
-from .topology import (
-    centralized_topology,
-    decentralized_topology,
-    link_count,
-    polycentric_topology,
-    validate_roles,
-)
 
-__all__ = [
-    "Message",
-    "DropLog",
-    "Network",
-    "centralized_topology",
-    "decentralized_topology",
-    "polycentric_topology",
-    "link_count",
-    "validate_roles",
-]
+__all__ = ["Message", "DropLog", "Network"]

@@ -7,9 +7,9 @@ an in-process network that keeps MPI's send/recv/bcast/gather vocabulary
 adding three things the experiments need:
 
 * **failure injection** — each link can drop messages with a configured
-  probability, and links can be deterministically blocked (partitions,
-  crashed nodes); drops surface as the SLM reputation module's
-  *uncertain events* (S4.2);
+  probability, links can be deterministically blocked (partitions,
+  churned-out nodes), and a failed node loses all of its links; drops
+  surface as the SLM reputation module's *uncertain events* (S4.2);
 * **byte accounting** — every payload accepted onto a link is tallied,
   so the communication-overhead ablations can compare centralized,
   polycentric, and decentralized architectures quantitatively. The same
@@ -124,16 +124,17 @@ class Network:
         self.default_drop_prob = drop_prob
         self._link_drop: dict[tuple[int, int], float] = {}
         self._blocked: set[tuple[int, int]] = set()
+        self._failed: set[int] = set()
         self._rng = np.random.default_rng(seed)
         # The latency stream is separate from the drop stream: attaching
         # a latency model must not change which messages drop.
         self._lat_rng = np.random.default_rng((seed, 0x1A7E))
         self.latency = latency
         self.sim = sim
-        self._queues: dict[tuple[int, int, str], deque[Message]] = defaultdict(deque)
-        # tag -> live queue keys, so cancel_tag is O(links on that tag)
-        # rather than a scan of every key ever created
-        self._tag_keys: dict[str, set[tuple[int, int, str]]] = defaultdict(set)
+        # tag -> (dst, src) -> FIFO queue, so closing a tag is one pop
+        self._queues: dict[str, dict[tuple[int, int], deque[Message]]] = (
+            defaultdict(lambda: defaultdict(deque))
+        )
         self._dead_tags: set[str] = set()
         self.in_flight = 0
         self.drop_log = DropLog()
@@ -165,6 +166,16 @@ class Network:
         """Lift a :meth:`block_link` outage (no-op if not blocked)."""
         self._blocked.discard((src, dst))
 
+    def fail_node(self, rank: int) -> None:
+        """Drop every message to or from ``rank`` from now on (a crash).
+
+        Equivalent to a drop probability of 1.0 on all of the node's
+        links — each send still makes its drop draw, so seeded runs
+        match a link-by-link override — at O(1) cost instead of 2N.
+        """
+        self._check_rank(rank)
+        self._failed.add(rank)
+
     def set_blocked_links(self, links: set[tuple[int, int]]) -> None:
         """Replace the whole blocked-link set (round-boundary partitions)."""
         for src, dst in links:
@@ -177,6 +188,8 @@ class Network:
             raise ValueError(f"rank {rank} outside [0, {self.num_nodes})")
 
     def _drop_prob(self, src: int, dst: int) -> float:
+        if self._failed and (src in self._failed or dst in self._failed):
+            return 1.0
         return self._link_drop.get((src, dst), self.default_drop_prob)
 
     # -- point-to-point ------------------------------------------------------
@@ -214,8 +227,7 @@ class Network:
             self.in_flight += 1
             self.sim.schedule(delay, self._deliver, msg)
         else:
-            self._queues[(dst, src, tag)].append(msg)
-            self._tag_keys[tag].add((dst, src, tag))
+            self._queues[tag][(dst, src)].append(msg)
         return True
 
     def _deliver(self, msg: Message) -> None:
@@ -223,24 +235,26 @@ class Network:
         self.in_flight -= 1
         if msg.tag in self._dead_tags:
             return  # round already closed; late arrival is discarded
-        self._queues[(msg.dst, msg.src, msg.tag)].append(msg)
-        self._tag_keys[msg.tag].add((msg.dst, msg.src, msg.tag))
+        self._queues[msg.tag][(msg.dst, msg.src)].append(msg)
 
     def cancel_tag(self, tag: str) -> None:
         """Close a tag: purge its queues and discard late arrivals.
 
         Round tags are unique (``slice:<t>``), so closing them when the
-        round ends keeps straggling deliveries from accumulating.
+        round ends keeps straggling deliveries from accumulating. Without
+        a latency model nothing is ever in flight, so no tag needs to be
+        remembered as dead.
         """
-        self._dead_tags.add(tag)
-        for key in self._tag_keys.pop(tag, ()):
-            self._queues.pop(key, None)
+        if self.latency is not None:
+            self._dead_tags.add(tag)
+        self._queues.pop(tag, None)
 
     def recv(self, dst: int, src: int, tag: str) -> Message | None:
         """Pop the oldest message on (src -> dst, tag); None if empty."""
         self._check_rank(dst)
         self._check_rank(src)
-        queue = self._queues.get((dst, src, tag))
+        links = self._queues.get(tag)
+        queue = links.get((dst, src)) if links else None
         if not queue:
             return None
         self.messages_delivered += 1
@@ -249,7 +263,8 @@ class Network:
 
     def pending(self, dst: int, src: int, tag: str) -> int:
         """Number of undelivered messages on a link+tag."""
-        return len(self._queues.get((dst, src, tag), ()))
+        links = self._queues.get(tag)
+        return len(links.get((dst, src), ())) if links else 0
 
     # -- collectives (MPI vocabulary over the same lossy links) ---------------
 

@@ -11,38 +11,36 @@ per-server slices each round and decides which workers' gradients enter the
 aggregate; with no mechanism every delivered update is accepted, which is
 the undefended baseline of Figures 7, 8 and 10.
 
-Population-first surface (cross-device scale)
----------------------------------------------
-The primary constructor takes a
-:class:`~repro.population.WorkerPopulation` plus an optional cohort size
-and :class:`~repro.population.CohortSampler`::
+Rosters and cohorts
+-------------------
+The trainer takes a :class:`~repro.population.WorkerPopulation` (wrap a
+list of live workers with :meth:`WorkerPopulation.from_workers`)::
 
-    FederatedTrainer(model, population=pop, cohort_size=64,
-                     sampler="reputation", server_ranks=[0, 1], ...)
+    FederatedTrainer(model, pop, server_ranks=[0, 1], ...)
+    FederatedTrainer(model, pop, server_ranks=[0, 1],
+                     cohort_size=64, sampler="reputation", ...)
 
-With a full-population cohort (or no sampler at all) the trainer runs in
-**static** mode: every worker is materialized once and the round loop is
-the classic cross-silo path, bit-for-bit identical to the legacy
-``workers=[...]`` surface. With a sampler or a sub-population cohort it
-runs in **dynamic** mode: each round samples a cohort (server ranks
-always included — they produce the detection benchmarks), materializes
-only those workers, trains, and writes the round's reputation verdicts
-back into the population's out-of-core store. Per-round cost is
-O(cohort), never O(population).
-
-The legacy ``workers=[...]`` list remains accepted through the single
-deprecation pathway :meth:`WorkerPopulation.from_workers`.
+One round loop serves both calls; they differ only in each round's
+roster. Without a sampler the roster is the whole population,
+materialized once — the cross-silo federations of the paper's figures.
+With a sampler (a ``cohort_size`` below the population size implies
+uniform sampling) every round samples a cohort — server ranks always
+included, they produce the detection benchmarks — and materializes only
+those workers, so per-round cost is O(cohort), never O(population). A
+full uniform cohort reproduces the roster run bit for bit, failed nodes
+included. Every round's reputation verdicts are written back into the
+population's out-of-core store, where reputation-weighted samplers read
+them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
-from ..comm import Network, polycentric_topology, validate_roles
+from ..comm import Network
 from ..datasets import Dataset
 from ..nn import Sequential
 from ..parallel.backend import ExecutionBackend, make_backend
@@ -61,24 +59,6 @@ __all__ = [
     "TrainingHistory",
     "FederatedTrainer",
 ]
-
-# The workers=[...] deprecation fires once per process: legacy suites
-# construct hundreds of trainers and the guidance does not change.
-_WARNED_LEGACY_WORKERS = False
-
-
-def _warn_legacy_workers() -> None:
-    global _WARNED_LEGACY_WORKERS
-    if not _WARNED_LEGACY_WORKERS:
-        _WARNED_LEGACY_WORKERS = True
-        warnings.warn(
-            "FederatedTrainer(workers=[...]) is deprecated; pass "
-            "population=WorkerPopulation.from_workers(workers) (or build a "
-            "WorkerPopulation directly) instead",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-
 
 @dataclass
 class RoundContext:
@@ -170,7 +150,7 @@ class FederatedTrainer:
     def __init__(
         self,
         model: Sequential,
-        workers=None,
+        population,
         server_ranks: list[int] | None = None,
         test_data: Dataset | None = None,
         mechanism: RoundMechanism | None = None,
@@ -183,7 +163,6 @@ class FederatedTrainer:
         monitor=None,
         probe=None,
         *,
-        population=None,
         cohort_size: int | None = None,
         sampler=None,
         fleet_shard_size: int | None = None,
@@ -195,40 +174,52 @@ class FederatedTrainer:
         # level, so the trainer must reach back lazily.
         from ..population import WorkerPopulation, make_sampler
 
-        if population is None and isinstance(workers, WorkerPopulation):
-            # Population passed positionally in the workers slot: the
-            # population-first call shape without keyword ceremony.
-            population, workers = workers, None
-        if population is not None and workers is not None:
-            raise ValueError("pass either population= or workers=, not both")
-        if population is None:
-            if not workers:
-                raise ValueError("need at least one worker")
-            _warn_legacy_workers()
-            population = WorkerPopulation.from_workers(workers)
-            self._owns_population = True
-        else:
-            if not isinstance(population, WorkerPopulation):
-                raise TypeError(
-                    f"population must be a WorkerPopulation, got "
-                    f"{type(population).__name__}"
-                )
-            self._owns_population = False
+        if not isinstance(population, WorkerPopulation):
+            raise TypeError(
+                f"population must be a WorkerPopulation, got "
+                f"{type(population).__name__}; wrap a list of workers with "
+                f"WorkerPopulation.from_workers(workers)"
+            )
         self.population = population
+        self.num_workers = population.size
         if server_ranks is None:
             raise ValueError("server_ranks is required")
-        # Satellite bugfix: an oversized cohort used to surface only as a
+        self.server_ranks = sorted(set(server_ranks))
+        if not self.server_ranks:
+            raise ValueError("need at least one server rank")
+        bad = [r for r in self.server_ranks if not 0 <= r < self.num_workers]
+        if bad:
+            raise ValueError(
+                f"server ranks {bad} outside [0, {self.num_workers}) (S ⊂ W)"
+            )
+        # Checked here: an oversized cohort would otherwise surface as a
         # cryptic sampler IndexError deep inside the first round.
-        if cohort_size is not None:
-            if cohort_size <= 0:
-                raise ValueError("cohort_size must be positive")
-            if cohort_size > population.size:
-                raise ValueError(
-                    f"cohort_size {cohort_size} exceeds population size "
-                    f"{population.size}"
-                )
+        if cohort_size is None:
+            cohort_size = population.size
+        if cohort_size <= 0:
+            raise ValueError("cohort_size must be positive")
+        if cohort_size > population.size:
+            raise ValueError(
+                f"cohort_size {cohort_size} exceeds population size "
+                f"{population.size}"
+            )
         if isinstance(sampler, str):
             sampler = make_sampler(sampler, seed=seed)
+        elif sampler is None and cohort_size < population.size:
+            sampler = make_sampler("uniform", seed=seed)
+        if sampler is not None and scenario is not None:
+            raise ValueError(
+                "cohort sampling and FaultScenario are mutually "
+                "exclusive; model device availability/churn on the "
+                "WorkerPopulation instead"
+            )
+        # The round's roster: a sampled cohort when there is a sampler,
+        # otherwise the whole population, materialized once here.
+        self.sampler = sampler
+        self.cohort_size = cohort_size
+        self.workers: list[Worker] = (
+            population.checkout(range(population.size)) if sampler is None else []
+        )
         # server_lr may be a constant or a schedule (callable round -> lr)
         if callable(server_lr):
             self._lr_schedule = server_lr
@@ -239,51 +230,7 @@ class FederatedTrainer:
         if reselect_every < 0:
             raise ValueError("reselect_every must be non-negative")
         self.model = model
-        self.num_workers = population.size
-        self.server_ranks = sorted(set(server_ranks))
-        self.cohort_size = cohort_size
-        self.sampler = sampler
         self.fleet_shard_size = fleet_shard_size
-        # Dynamic (cross-device) mode: an explicit sampler or a
-        # sub-population cohort means per-round sampling + lazy
-        # materialization. Otherwise static mode keeps the classic
-        # cross-silo loop, bit-for-bit.
-        self._dynamic = sampler is not None or (
-            cohort_size is not None and cohort_size < population.size
-        )
-        if self._dynamic:
-            if self._owns_population:
-                raise ValueError(
-                    "cohort sampling needs an explicit population= "
-                    "(the legacy workers=[...] surface is static-only)"
-                )
-            if scenario is not None:
-                raise ValueError(
-                    "cohort sampling and FaultScenario are mutually "
-                    "exclusive; model device availability/churn on the "
-                    "WorkerPopulation instead"
-                )
-            if self.sampler is None:
-                self.sampler = make_sampler("uniform", seed=seed)
-            if self.cohort_size is None:
-                self.cohort_size = population.size
-            bad = [r for r in self.server_ranks if not 0 <= r < self.num_workers]
-            if bad or not self.server_ranks:
-                raise ValueError(
-                    f"server ranks {bad} outside [0, {self.num_workers})"
-                )
-            # polycentric_topology materializes an O(N·M) networkx graph —
-            # at 10^6 workers that is neither affordable nor needed: the
-            # round loop only ever touches cohort-sized structures.
-            self.topology = None
-            self.workers: list[Worker] = []
-        else:
-            self.workers = population.checkout(range(population.size))
-            # Validate S ⊂ W via the topology module (raises on bad ranks).
-            self.topology = polycentric_topology(
-                self.num_workers, self.server_ranks
-            )
-            validate_roles(self.topology)
         self.test_data = test_data
         self.mechanism: RoundMechanism = mechanism if mechanism is not None else _AcceptAll()
         self.server_lr = server_lr if not callable(server_lr) else None
@@ -358,44 +305,31 @@ class FederatedTrainer:
         failed *server* silently loses every slice addressed to it, which
         stalls aggregation in a static cluster — the paper's
         "decentralized architecture lacks fault tolerance" scenario —
-        unless re-selection replaces it.
+        unless re-selection replaces it. Once every server has failed,
+        rounds are recorded as skipped.
         """
         if not 0 <= rank < self.num_workers:
             raise ValueError(f"rank {rank} outside [0, {self.num_workers})")
         self._failed.add(rank)
-        if self._dynamic:
-            # Cross-device mode: the failed id is simply excluded from
-            # every future cohort — no O(population) link sweep needed.
-            return
-        for other in range(self.num_workers):
-            self.network.set_link_drop_prob(rank, other, 1.0)
-            self.network.set_link_drop_prob(other, rank, 1.0)
+        self.network.fail_node(rank)
 
     @property
     def failed_nodes(self) -> set[int]:
         return set(self._failed)
 
     def node_comm_load(self) -> dict[int, int]:
-        """Bytes moved through each node (sent + received) so far.
+        """Bytes moved through each node (sent + received) so far, by rank.
 
-        The max over nodes is the deployment bottleneck S3.2 discusses:
-        one central server carries O(N·P) per round, M polycentric
-        servers carry O(N·P/M) each, and fully decentralized nodes carry
-        O(P) regardless of N.
+        Nodes that never moved a byte are absent. The max over nodes is
+        the deployment bottleneck S3.2 discusses: one central server
+        carries O(N·P) per round, M polycentric servers carry O(N·P/M)
+        each, and fully decentralized nodes carry O(P) regardless of N.
         """
-        if self._dynamic:
-            # O(population) dicts are off the table at cross-device scale;
-            # report only the nodes that actually moved bytes.
-            load: dict[int, int] = {}
-            for (src, dst), nbytes in self.network.bytes_sent.items():
-                load[src] = load.get(src, 0) + nbytes
-                load[dst] = load.get(dst, 0) + nbytes
-            return load
-        load = {n: 0 for n in range(self.num_workers)}
+        load: dict[int, int] = {}
         for (src, dst), nbytes in self.network.bytes_sent.items():
-            load[src] += nbytes
-            load[dst] += nbytes
-        return load
+            load[src] = load.get(src, 0) + nbytes
+            load[dst] = load.get(dst, 0) + nbytes
+        return dict(sorted(load.items()))
 
     def _round_lr(self, round_idx: int) -> float:
         """The server learning rate for this round (constant or scheduled)."""
@@ -406,14 +340,23 @@ class FederatedTrainer:
             return lr
         return self.server_lr
 
-    # -- cohort selection (dynamic mode) --------------------------------------
+    # -- the round's roster ---------------------------------------------------
+
+    def _roster(self, round_idx: int) -> list[Worker]:
+        """This round's workers: the whole population or a sampled cohort."""
+        if self.sampler is None:
+            return self.workers
+        with self.profiler.phase("trainer.cohort"):
+            return self._select_cohort(round_idx)
 
     def _select_cohort(self, round_idx: int) -> list[Worker]:
         """Sample, availability-filter and materialize this round's cohort.
 
         Server ranks are pinned into every cohort (they produce the
         detection benchmarks ``g_j^j``); they skip the per-round
-        availability draw but still respect churn and injected failures.
+        availability draw but still respect churn. Failed nodes stay in
+        the cohort exactly as they stay in the full roster: the round
+        loop keeps them out of local compute and their links are dark.
         """
         prof = self.profiler
         pop = self.population
@@ -425,8 +368,6 @@ class FederatedTrainer:
         live: list[int] = []
         for wid in sampled:
             wid = int(wid)
-            if wid in self._failed:
-                continue
             if wid in required:
                 if pop.is_live(wid):
                     live.append(wid)
@@ -534,32 +475,27 @@ class FederatedTrainer:
         exclude = (
             self._failed if plan is None else self._failed | set(plan.offline)
         )
-        if self._dynamic:
-            with prof.phase("trainer.cohort"):
-                active = self._select_cohort(round_idx)
-            if not active:
-                return self._skipped_round(round_idx, "empty cohort")
-            if not any(w.worker_id in self.server_ranks for w in active):
-                return self._skipped_round(round_idx, "no live server")
-        else:
-            active = self.workers
+        roster = self._roster(round_idx)
+        if not roster:
+            return self._skipped_round(round_idx, "empty cohort")
+        servers = set(self.server_ranks)
+        if not any(
+            w.worker_id in servers for w in roster if w.worker_id not in self._failed
+        ):
+            return self._skipped_round(round_idx, "no live server")
         theta = self.model.get_flat_params()
         global_buffers = self.model.get_flat_buffers()
         with prof.phase("trainer.local_compute"):
             if self.local_engine == "fleet":
-                updates = self._fleet_for(active).compute_updates(
+                updates = self._fleet_for(roster).compute_updates(
                     theta, global_buffers, exclude=exclude
                 )
             else:
                 updates = {
                     w.worker_id: w.compute_update(theta, global_buffers)
-                    for w in active
+                    for w in roster
                     if w.worker_id not in exclude
                 }
-        if self._dynamic and not any(
-            srv in updates for srv in self.server_ranks
-        ):
-            return self._skipped_round(round_idx, "no server update")
         sim_info = None
         with prof.phase("trainer.upload"):
             if self._sim_runner is not None:
@@ -572,6 +508,9 @@ class FederatedTrainer:
                 )
             else:
                 delivered, uncertain = self._upload_slices(updates, round_idx)
+        # Collection is over: close the uplink tag so late slices (sim
+        # path) are discarded and no emptied queue outlives the round.
+        self.network.cancel_tag(f"slice:{round_idx}")
         prof.count("trainer.rounds")
         prof.count("trainer.uncertain_workers", len(uncertain))
 
@@ -582,17 +521,16 @@ class FederatedTrainer:
             slices=delivered,
             updates=updates,
             uncertain=uncertain,
-            sample_counts={w.worker_id: w.num_samples for w in active},
+            sample_counts={w.worker_id: w.num_samples for w in roster},
         )
         with prof.phase("trainer.mechanism"):
             decision = self.mechanism.process_round(ctx)
-        if not self._owns_population:
-            # Round verdicts flow back into the population's out-of-core
-            # reputation store, where reputation-weighted samplers (and
-            # the next session's analyses) read them.
-            reps = decision.records.get("reputations")
-            if reps:
-                self.population.write_reputations(reps)
+        # Round verdicts flow back into the population's out-of-core
+        # reputation store, where reputation-weighted samplers (and the
+        # next session's analyses) read them.
+        reps = decision.records.get("reputations")
+        if reps:
+            self.population.write_reputations(reps)
 
         accepted_ids = [w for w in sorted(delivered) if decision.accept.get(w, False)]
         grad_norm = 0.0
@@ -614,20 +552,20 @@ class FederatedTrainer:
             lr = self._round_lr(round_idx)
             self.model.set_flat_params(theta - lr * global_grad)
             # Step 1.4: servers broadcast their global slice to every
-            # worker. The trainer holds the global model authoritatively,
-            # so this pass exists for protocol fidelity — byte accounting
-            # and drop statistics per link (the per-node communication
-            # load is what S3.2's scalability argument is about).
+            # worker of the roster. The trainer holds the global model
+            # authoritatively, so this pass exists for protocol fidelity —
+            # byte accounting and drop statistics per link (the per-node
+            # communication load is what S3.2's scalability argument is
+            # about).
             tag = f"global:{round_idx}"
-            dests = (
-                [w.worker_id for w in active]
-                if self._dynamic
-                else range(self.num_workers)
-            )
+            dests = [w.worker_id for w in roster]
             for j, srv in enumerate(self.server_ranks):
                 for wid in dests:
                     if wid != srv:
                         self.network.send(srv, wid, tag, agg_slices[j])
+            # Nobody receives the broadcast: close its tag so it is not
+            # left queued (or in flight) — O(N·M) messages per round.
+            self.network.cancel_tag(tag)
             # FedAvg-BN: average accepted workers' running statistics into
             # the global model so evaluation normalizes with live stats.
             buffer_vecs = [
@@ -642,11 +580,6 @@ class FederatedTrainer:
                     if updates[w].buffers is not None
                 ]
                 self.model.set_flat_buffers(fedavg(buffer_vecs, weights_b))
-
-        if self._sim_runner is not None:
-            # Close the downlink tag: broadcast slices still in flight on
-            # the virtual clock are discarded, not queued forever.
-            self._sim_runner.end_round(round_idx)
 
         test_loss = test_acc = None
         if self.test_data is not None:
@@ -746,12 +679,4 @@ class FederatedTrainer:
             )
         except RuntimeError:
             return  # not enough reputations tracked; keep the cluster
-        new_ranks = sorted(set(new_ranks))
-        if new_ranks == self.server_ranks:
-            return
-        self.server_ranks = new_ranks
-        if not self._dynamic:
-            self.topology = polycentric_topology(
-                self.num_workers, self.server_ranks
-            )
-            validate_roles(self.topology)
+        self.server_ranks = sorted(set(new_ranks))

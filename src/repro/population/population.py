@@ -123,11 +123,11 @@ class WorkerPopulation:
 
     @classmethod
     def from_workers(cls, workers: list[Worker], **kwargs) -> "WorkerPopulation":
-        """Adapter for the legacy ``workers=[...]`` trainer surface.
+        """A population over a fixed list of live workers (ids 0..N-1).
 
         The roster is pinned in the cache (never evicted, no data/model
-        recipes needed), so a full-population cohort reuses the exact
-        objects a legacy trainer would have held.
+        recipes needed), so every round — full roster or sampled
+        cohort — reuses exactly these objects.
         """
         if not workers:
             raise ValueError("need at least one worker")

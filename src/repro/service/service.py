@@ -377,11 +377,6 @@ class FederationService:
                     record = trainer.run_round(t)
                     self.next_round = t + 1
                     self._absorb(record)
-                    if trainer._sim_runner is None:
-                        # Direct mode never receives the protocol-fidelity
-                        # broadcast; close its tag or queued slices
-                        # accumulate without bound over 10^4 rounds.
-                        trainer.network.cancel_tag(f"global:{t}")
                     tele.flush()
                     if self.probe is not None:
                         sample = self.probe.sample(t)

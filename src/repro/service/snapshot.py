@@ -393,7 +393,7 @@ def _restore_population(pop, state: dict) -> None:
     pop._rng_states = dict(state["evicted_rng"])
     # Workers the rebuilt federation already materialized (the pinned
     # from_workers roster, or a lazy population checked out whole by a
-    # static-mode trainer) must keep their object identity — the trainer
+    # no-sampler trainer) must keep their object identity — the trainer
     # holds references — so overlay their state in place. Workers only
     # the *saved* run had cached are materialized now, in saved insertion
     # order, reproducing the LRU ordering draw-for-draw.
@@ -487,6 +487,7 @@ def _capture_network(net) -> dict:
         "lat_rng": net._lat_rng.bit_generator.state,
         "blocked": sorted(net._blocked),
         "link_drop": dict(net._link_drop),
+        "failed": sorted(net._failed),
         "bytes_sent": dict(net.bytes_sent),
         "messages_sent": net.messages_sent,
         "messages_delivered": net.messages_delivered,
@@ -500,6 +501,9 @@ def _restore_network(net, state: dict) -> None:
     net._lat_rng.bit_generator.state = state["lat_rng"]
     net._blocked = {tuple(link) for link in state["blocked"]}
     net._link_drop = dict(state["link_drop"])
+    # snapshots from before Network.fail_node carry failed nodes' dark
+    # links in link_drop instead
+    net._failed = set(state.get("failed", ()))
     net.bytes_sent = defaultdict(int, state["bytes_sent"])
     net.messages_sent = state["messages_sent"]
     net.messages_delivered = state["messages_delivered"]

@@ -240,7 +240,6 @@ class SimRoundRunner:
         outstanding -= state.abandoned
         late_pairs = sorted(outstanding)
         state.closed = True
-        trainer.network.cancel_tag(state.tag)
         if deadline is not None and late_pairs:
             sim.advance_to(deadline)
         duration = sim.now - t0
@@ -304,7 +303,6 @@ class SimRoundRunner:
             else:
                 uncertain.add(wid)
         state.closed = True
-        net.cancel_tag(state.tag)
         sim_info = {
             "t_start_s": t0,
             "duration_s": 0.0,
@@ -315,10 +313,6 @@ class SimRoundRunner:
             "worker_time_s": {wid: 0.0 for wid in sorted(resolved)},
         }
         return delivered, uncertain, sim_info
-
-    def end_round(self, round_idx: int) -> None:
-        """Close the downlink tag so late broadcast deliveries are dropped."""
-        self.trainer.network.cancel_tag(f"global:{round_idx}")
 
     # -- telemetry -------------------------------------------------------------
 

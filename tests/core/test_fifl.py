@@ -7,7 +7,7 @@ from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 
 def mixed_federation(num_workers=6, attacker_ids=(0,), p_s=4.0, seed=0):
@@ -26,7 +26,7 @@ def fifl_trainer(workers, test, server_ranks, config=None, drop_prob=0.0, seed=0
     ))
     model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
     trainer = FederatedTrainer(
-        model, workers, server_ranks, test_data=test, mechanism=mech,
+        model, roster(workers), server_ranks, test_data=test, mechanism=mech,
         server_lr=0.1, drop_prob=drop_prob, seed=seed,
     )
     return trainer, mech
@@ -51,7 +51,9 @@ class TestDetectionInTraining:
 
         workers2, test2 = mixed_federation(num_workers=6, attacker_ids=(0, 1), p_s=8.0)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
-        undefended = FederatedTrainer(model, workers2, [2, 3], test_data=test2, server_lr=0.1)
+        undefended = FederatedTrainer(
+            model, roster(workers2), [2, 3], test_data=test2, server_lr=0.1
+        )
         acc_undefended = undefended.run(30, eval_every=30).final_accuracy()
         assert acc_defended > acc_undefended
 

@@ -6,7 +6,7 @@ from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 
 def run_mech(reputation_mode, rounds=6, slm_period=3, seed=0):
@@ -24,8 +24,8 @@ def run_mech(reputation_mode, rounds=6, slm_period=3, seed=0):
         )
     )
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
-    trainer = FederatedTrainer(model, workers, [0], test_data=test,
-                               mechanism=mech, server_lr=0.1)
+    trainer = FederatedTrainer(model, roster(workers), [0],
+                               test_data=test, mechanism=mech, server_lr=0.1)
     trainer.run(rounds, eval_every=rounds)
     return mech
 

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 
 class TestCoordinateMedian:
@@ -84,7 +84,8 @@ def _attacked_trainer(mechanism, num_workers=6, p_s=8.0, seed=0):
     )[0][0]
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     return FederatedTrainer(
-        model, workers, [1, 2], test_data=test, mechanism=mechanism, server_lr=0.1
+        model, roster(workers), [1, 2], test_data=test,
+        mechanism=mechanism, server_lr=0.1,
     )
 
 

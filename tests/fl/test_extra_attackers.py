@@ -8,7 +8,7 @@ from repro.datasets import flip_labels
 from repro.fl import FederatedTrainer, GaussianNoiseAttacker, ReplayFreeRider
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn, roster
 
 
 class TestGaussianNoiseAttacker:
@@ -42,8 +42,8 @@ class TestGaussianNoiseAttacker:
             FIFLConfig(detection=DetectionConfig(threshold=0.15), gamma=0.3)
         )
         model = build_logreg(N_FEATURES, N_CLASSES, seed=1)
-        trainer = FederatedTrainer(model, workers, [0, 1], test_data=test,
-                                   mechanism=mech, server_lr=0.1)
+        trainer = FederatedTrainer(model, roster(workers), [0, 1],
+                                   test_data=test, mechanism=mech, server_lr=0.1)
         trainer.run(10, eval_every=10)
         rejected = sum(1 for rec in mech.records if not rec.accepted[3])
         assert rejected >= 8
@@ -89,8 +89,8 @@ class TestReplayFreeRider:
             FIFLConfig(detection=DetectionConfig(threshold=0.0), gamma=0.3)
         )
         model = build_logreg(N_FEATURES, N_CLASSES, seed=2)
-        trainer = FederatedTrainer(model, workers, [0], test_data=test,
-                                   mechanism=mech, server_lr=0.1)
+        trainer = FederatedTrainer(model, roster(workers), [0],
+                                   test_data=test, mechanism=mech, server_lr=0.1)
         trainer.run(8, eval_every=8)
         later_scores = [rec.scores[4] for rec in mech.records[2:]]
         assert np.mean(later_scores) > 0.0  # evades a zero threshold

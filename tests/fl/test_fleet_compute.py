@@ -34,7 +34,7 @@ from repro.fl import (
 )
 from repro.nn import SGD, Dense, Dropout, ReLU, Sequential, build_logreg, build_mlp
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 TOL = 1e-8
 
@@ -229,7 +229,7 @@ class TestTrainerIntegration:
     def test_run_restores_test_data_on_exception(self):
         workers, _, test = make_federation(num_workers=3)
         trainer = FederatedTrainer(
-            build_logreg(N_FEATURES, N_CLASSES, seed=0), workers, [0],
+            build_logreg(N_FEATURES, N_CLASSES, seed=0), roster(workers), [0],
             test_data=test, mechanism=_BoomMechanism(),
         )
         with pytest.raises(RuntimeError, match="boom"):
@@ -242,14 +242,14 @@ class TestTrainerIntegration:
         workers, _, test = make_federation(num_workers=2)
         with pytest.raises(ValueError):
             FederatedTrainer(
-                build_logreg(N_FEATURES, N_CLASSES, seed=0), workers, [0],
+                build_logreg(N_FEATURES, N_CLASSES, seed=0), roster(workers), [0],
                 test_data=test, local_engine="warp",
             )
 
     def test_failed_node_excluded_from_fleet(self):
         workers, _, test = make_federation(num_workers=4)
         trainer = FederatedTrainer(
-            build_logreg(N_FEATURES, N_CLASSES, seed=0), workers, [0],
+            build_logreg(N_FEATURES, N_CLASSES, seed=0), roster(workers), [0],
             test_data=test, local_engine="fleet",
         )
         trainer.fail_node(2)

@@ -6,7 +6,7 @@ from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 
 def fifl_mech(gamma=0.4):
@@ -20,14 +20,17 @@ class TestReselection:
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES)
         with pytest.raises(ValueError):
-            FederatedTrainer(model, workers, [0], test_data=test, reselect_every=2)
+            FederatedTrainer(
+                model, roster(workers), [0], test_data=test,
+                reselect_every=2,
+            )
 
     def test_rejects_negative_interval(self):
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES)
         with pytest.raises(ValueError):
             FederatedTrainer(
-                model, workers, [0], test_data=test,
+                model, roster(workers), [0], test_data=test,
                 mechanism=fifl_mech(), reselect_every=-1,
             )
 
@@ -41,7 +44,7 @@ class TestReselection:
         )[0][0]
         model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
         trainer = FederatedTrainer(
-            model, workers, [0, 1], test_data=test,
+            model, roster(workers), [0, 1], test_data=test,
             mechanism=fifl_mech(), server_lr=0.1, reselect_every=3,
         )
         assert 0 in trainer.server_ranks
@@ -53,35 +56,16 @@ class TestReselection:
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test, mechanism=fifl_mech()
+            model, roster(workers), [0], test_data=test, mechanism=fifl_mech()
         )
         trainer.run(5, eval_every=5)
         assert trainer.server_ranks == [0]
-
-    def test_topology_follows_reselection(self):
-        workers, _, test = make_federation(num_workers=6, seed=3)
-        workers[0] = make_federation(
-            num_workers=6, seed=3,
-            worker_cls=SignFlippingWorker, worker_kwargs={"p_s": 6.0},
-        )[0][0]
-        model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
-        trainer = FederatedTrainer(
-            model, workers, [0, 1], test_data=test,
-            mechanism=fifl_mech(), server_lr=0.1, reselect_every=2,
-        )
-        trainer.run(8, eval_every=8)
-        servers = {
-            n for n, d in trainer.topology.nodes(data=True)
-            if "server" in d["role"] and "worker" in d["role"] and
-            n in trainer.server_ranks
-        }
-        assert sorted(servers) == trainer.server_ranks
 
     def test_training_still_converges_with_reselection(self):
         workers, _, test = make_federation(num_workers=5, seed=4)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=4)
         trainer = FederatedTrainer(
-            model, workers, [0, 1], test_data=test,
+            model, roster(workers), [0, 1], test_data=test,
             mechanism=fifl_mech(), server_lr=0.1, reselect_every=5,
         )
         history = trainer.run(30, eval_every=30)

@@ -5,6 +5,7 @@ import numpy as np
 from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import HonestWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 N_FEATURES = 8
 N_CLASSES = 3
@@ -43,6 +44,11 @@ class BlobDataFn:
             num_classes=N_CLASSES,
             seed=(self.seed, 0xDA7A, worker_id),
         )
+
+
+def roster(workers):
+    """A population over a fixed list of live workers (no cohort sampling)."""
+    return WorkerPopulation.from_workers(workers)
 
 
 def make_federation(

@@ -14,7 +14,7 @@ from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.ledger import Blockchain, audit_reputation
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 GAMMA = 0.3
 
@@ -41,7 +41,7 @@ def full_pipeline(num_workers=8, attacker_ids=(6, 7), rounds=20, seed=0,
     )
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     trainer = FederatedTrainer(
-        model, workers, servers, test_data=test, mechanism=mech,
+        model, roster(workers), servers, test_data=test, mechanism=mech,
         server_lr=0.1, drop_prob=drop_prob, seed=seed,
         reselect_every=reselect_every,
     )

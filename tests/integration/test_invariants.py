@@ -10,7 +10,7 @@ from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.ledger import Blockchain
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 
 def random_federation(seed, num_workers, n_attackers, gamma, drop_prob):
@@ -32,7 +32,7 @@ def random_federation(seed, num_workers, n_attackers, gamma, drop_prob):
     )
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     trainer = FederatedTrainer(
-        model, workers, [0, 1], test_data=test, mechanism=mech,
+        model, roster(workers), [0, 1], test_data=test, mechanism=mech,
         server_lr=0.1, drop_prob=drop_prob, seed=seed,
     )
     return trainer, mech, chain, set(int(a) for a in attacker_ids)

@@ -7,7 +7,7 @@ from repro.fl import FederatedTrainer
 from repro.ledger import Blockchain, audit_reputation
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 GAMMA = 0.2
 
@@ -94,7 +94,7 @@ class TestEndToEndWithMechanism:
         )
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test, mechanism=mech, server_lr=0.1
+            model, roster(workers), [0], test_data=test, mechanism=mech, server_lr=0.1
         )
         trainer.run(8, eval_every=8)
         assert len(chain) == 8

@@ -190,6 +190,7 @@ class TestTrainerWiring:
         from repro.datasets import iid_partition, make_blobs, train_test_split
         from repro.fl import FederatedTrainer, HonestWorker
         from repro.nn import build_logreg
+        from tests.helpers import roster
 
         data = make_blobs(n_samples=240, n_features=8, num_classes=3, seed=0)
         train, test = train_test_split(data, test_fraction=0.2, seed=0)
@@ -209,7 +210,7 @@ class TestTrainerWiring:
         try:
             trainer = FederatedTrainer(
                 model=build_logreg(8, 3, seed=0),
-                workers=workers,
+                population=roster(workers),
                 server_ranks=[0, 1],
                 test_data=test,
                 monitor=monitor,

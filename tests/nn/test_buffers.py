@@ -99,6 +99,7 @@ class TestFederatedBufferSync:
     def test_global_model_buffers_updated_by_trainer(self):
         from repro.datasets import iid_partition, make_blobs, train_test_split
         from repro.fl import FederatedTrainer, HonestWorker
+        from tests.helpers import roster
 
         data = make_blobs(n_samples=200, n_features=4, num_classes=2, seed=0)
         train, test = train_test_split(data, 0.2, seed=0)
@@ -109,7 +110,7 @@ class TestFederatedBufferSync:
         ]
         global_model = bn_model()
         before = global_model.get_flat_buffers()
-        trainer = FederatedTrainer(global_model, workers, [0], test_data=test)
+        trainer = FederatedTrainer(global_model, roster(workers), [0], test_data=test)
         trainer.run(3, eval_every=3)
         after = global_model.get_flat_buffers()
         assert not np.allclose(before, after)

@@ -69,12 +69,12 @@ class TestTrainerIntegration:
         from repro.fl import FederatedTrainer
         from repro.nn import build_logreg
 
-        from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+        from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
         workers, _, test = make_federation(num_workers=3)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test,
+            model, roster(workers), [0], test_data=test,
             server_lr=StepLR(0.2, step_size=5, gamma=0.5),
         )
         assert trainer._round_lr(0) == 0.2
@@ -86,12 +86,12 @@ class TestTrainerIntegration:
         from repro.fl import FederatedTrainer
         from repro.nn import build_logreg
 
-        from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+        from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
         workers, _, test = make_federation(num_workers=3)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test, server_lr=lambda t: -1.0
+            model, roster(workers), [0], test_data=test, server_lr=lambda t: -1.0
         )
         with pytest.raises(ValueError):
             trainer.run_round(0)

@@ -9,7 +9,7 @@ from repro.fl.gradients import slice_offsets
 from repro.core.engine import RoundBatch
 from repro.population.sharding import iter_row_shards
 
-from ..helpers import make_federation, model_fn
+from ..helpers import make_federation, model_fn, roster
 
 
 class TestIterRowShards:
@@ -97,17 +97,14 @@ class TestMechanismShardDifferential:
             workers, _, test = make_federation(num_workers=6, seed=4)
             mech = FIFLMechanism(FIFLConfig(shard_size=shard))
             trainer = FederatedTrainer(
-                model_fn(seed=4)(), workers=workers, server_ranks=[0, 1],
+                model_fn(seed=4)(), roster(workers), server_ranks=[0, 1],
                 test_data=test, mechanism=mech, seed=4,
             )
             records = [trainer._run_round(r) for r in range(4)]
             return records, trainer.model.get_flat_params()
 
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            rec_a, params_a = run(shard_size)
-            rec_b, params_b = run(None)
+        rec_a, params_a = run(shard_size)
+        rec_b, params_b = run(None)
         assert np.array_equal(params_a, params_b)
         for ra, rb in zip(rec_a, rec_b):
             assert ra.accepted == rb.accepted

@@ -1,7 +1,5 @@
 """Population-first trainer surface: validation, skips, differentials."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -40,31 +38,26 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             make_trainer(pop, test, cohort_size=0)
 
-    def test_population_and_workers_are_exclusive(self):
-        pop, test = make_population(4)
+    def test_worker_list_is_rejected(self):
         workers, _, _ = make_federation(num_workers=4)
-        with pytest.raises(ValueError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                FederatedTrainer(
-                    model_fn()(), workers=workers, population=pop,
-                    server_ranks=[0, 1],
-                )
+        with pytest.raises(TypeError, match=r"WorkerPopulation\.from_workers"):
+            FederatedTrainer(model_fn()(), workers, server_ranks=[0, 1])
+
+    @pytest.mark.parametrize(
+        "ranks", [[], [4], [-1, 0]], ids=["empty", "above", "negative"]
+    )
+    @pytest.mark.parametrize("sampler", [None, "uniform"], ids=["roster", "cohort"])
+    def test_rejects_bad_ranks(self, sampler, ranks):
+        pop, _ = make_population(4)
+        with pytest.raises(ValueError, match="server rank"):
+            FederatedTrainer(
+                model_fn()(), pop, server_ranks=ranks, sampler=sampler
+            )
 
     def test_server_ranks_required(self):
         pop, test = make_population(4)
         with pytest.raises(ValueError, match="server_ranks"):
             FederatedTrainer(model_fn()(), population=pop)
-
-    def test_sampler_requires_explicit_population(self):
-        workers, _, _ = make_federation(num_workers=4)
-        with pytest.raises(ValueError, match="explicit population"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                FederatedTrainer(
-                    model_fn()(), workers=workers, server_ranks=[0, 1],
-                    sampler="uniform",
-                )
 
     def test_sampler_and_scenario_are_exclusive(self):
         from repro.sim import FaultScenario
@@ -74,21 +67,6 @@ class TestConstructorValidation:
             make_trainer(
                 pop, test, cohort_size=2, scenario=FaultScenario()
             )
-
-    def test_legacy_workers_surface_warns_once_per_process(self):
-        # the module-level flag may already be set by another test; reset
-        import repro.fl.trainer as trainer_mod
-
-        trainer_mod._WARNED_LEGACY_WORKERS = False
-        workers, _, _ = make_federation(num_workers=4)
-        with pytest.warns(DeprecationWarning, match="population"):
-            FederatedTrainer(model_fn()(), workers=workers,
-                             server_ranks=[0, 1])
-        workers2, _, _ = make_federation(num_workers=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FederatedTrainer(model_fn()(), workers=workers2,
-                             server_ranks=[0, 1])
 
     def test_population_accepted_positionally(self):
         pop, test = make_population(4)
@@ -170,6 +148,37 @@ class TestDifferentials:
         )
 
 
+    @pytest.mark.parametrize(
+        "failed, drop_prob",
+        [((1,), 0.0), ((5,), 0.0), ((5,), 0.2)],
+        ids=["server-failed", "worker-failed", "lossy-worker-failed"],
+    )
+    def test_full_cohort_matches_roster_under_failure(self, failed, drop_prob):
+        runs = []
+        for cohort in ({}, {"cohort_size": 8, "sampler": "uniform"}):
+            pop, test = make_population(8)
+            t = make_trainer(pop, test, drop_prob=drop_prob, **cohort)
+            records = [t.run_round(r) for r in range(2)]
+            for rank in failed:
+                t.fail_node(rank)
+            records += [t.run_round(r) for r in range(2, 5)]
+            runs.append((t, records))
+        (roster, rec_a), (cohort, rec_b) = runs
+        for ra, rb in zip(rec_a, rec_b):
+            assert ra.accepted == rb.accepted
+            assert ra.uncertain == rb.uncertain
+            assert ra.grad_norm == rb.grad_norm
+            assert (ra.test_loss, ra.test_acc) == (rb.test_loss, rb.test_acc)
+            assert ra.skipped == rb.skipped
+            np.testing.assert_equal(ra.mechanism_records, rb.mechanism_records)
+        assert roster.network.bytes_sent == cohort.network.bytes_sent
+        assert roster.network.drop_log.drops == cohort.network.drop_log.drops
+        assert roster.node_comm_load() == cohort.node_comm_load()
+        assert np.array_equal(
+            roster.model.get_flat_params(), cohort.model.get_flat_params()
+        )
+
+
 class TestReputationWriteback:
     def test_decisions_flow_into_population_store(self):
         pop, test = make_population(6)
@@ -192,3 +201,22 @@ class TestReputationWriteback:
         t._run_round(0)
         snap = prof.snapshot()
         assert snap["counters"]["trainer.cohort_workers"] == 4
+
+
+class TestRoundTags:
+    @pytest.mark.parametrize(
+        "cohort", [{}, {"cohort_size": 3, "sampler": "uniform"}],
+        ids=["roster", "cohort"],
+    )
+    def test_run_leaves_nothing_queued(self, cohort):
+        pop, test = make_population(6)
+        t = make_trainer(pop, test, drop_prob=0.1, **cohort)
+        t.run(4, eval_every=4)
+        net = t.network
+        for r in range(4):
+            for wid in range(6):
+                for srv in t.server_ranks:
+                    assert net.pending(srv, wid, f"slice:{r}") == 0
+                    assert net.pending(wid, srv, f"global:{r}") == 0
+        # nothing was ever in flight, so no closed tag is remembered
+        assert net._dead_tags == set()

@@ -117,6 +117,31 @@ class TestKillResumeDifferential:
         assert resumed["trace"] == clean["trace"]
 
 
+class TestFailedNodeResume:
+    def test_failed_server_stays_failed_after_resume(self, tmp_path):
+        def build(snap_dir):
+            set_telemetry(_fresh_hub())
+            cfg = make_preset(
+                "blobs-fifl", rounds=ROUNDS, checkpoint_every=CHECKPOINT_EVERY
+            )
+            service = FederationService(cfg, snap_dir)
+            service.trainer.fail_node(1)
+            return service
+
+        clean = build(tmp_path / "clean")
+        clean.run()
+        part1 = build(tmp_path / "killed")
+        part1.run(until_round=CHECKPOINT_EVERY)
+        set_telemetry(_fresh_hub())
+        part2 = FederationService.resume(tmp_path / "killed")
+        part2.run()
+        assert part2.trainer.failed_nodes == {1}
+        assert part2.history_digest() == clean.history_digest()
+        drops = part2.trainer.network.drop_log.drops
+        assert drops == clean.trainer.network.drop_log.drops
+        assert {(src, dst) for src, dst, _ in drops if dst == 1}
+
+
 class TestHistoryCompaction:
     def test_tail_bounds_memory_and_preserves_digest(self, tmp_path):
         full = _run_clean("blobs-fifl", tmp_path / "full")

@@ -6,7 +6,7 @@ import pytest
 from repro.fl import FederatedTrainer, HonestWorker
 from repro.nn import build_logreg
 from repro.sim import FaultScenario, LatencyConfig
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
 
 def make_trainer(scenario, num_workers=5, drop_prob=0.0, seed=7, **worker_kwargs):
@@ -16,7 +16,7 @@ def make_trainer(scenario, num_workers=5, drop_prob=0.0, seed=7, **worker_kwargs
     model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
     return FederatedTrainer(
         model,
-        workers,
+        roster(workers),
         [0, 1],
         test_data=test,
         drop_prob=drop_prob,

@@ -118,7 +118,7 @@ class TestPipelineIntegration:
         from repro.core import make_mechanism
         from repro.fl import FederatedTrainer
         from repro.nn import build_logreg
-        from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+        from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
         workers, _, test = make_federation(num_workers=4)
         mine = Telemetry()
@@ -126,7 +126,7 @@ class TestPipelineIntegration:
         try:
             trainer = FederatedTrainer(
                 build_logreg(N_FEATURES, N_CLASSES),
-                workers,
+                roster(workers),
                 [0, 1],
                 test_data=test,
                 mechanism=make_mechanism("fifl", threshold=0.0),
@@ -153,7 +153,7 @@ class TestPipelineIntegration:
         from repro.core import make_mechanism
         from repro.fl import FederatedTrainer
         from repro.nn import build_logreg
-        from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+        from tests.helpers import N_CLASSES, N_FEATURES, make_federation, roster
 
         workers, _, test = make_federation(num_workers=3)
         mine = Telemetry()
@@ -161,7 +161,7 @@ class TestPipelineIntegration:
         try:
             trainer = FederatedTrainer(
                 build_logreg(N_FEATURES, N_CLASSES),
-                workers,
+                roster(workers),
                 [0],
                 test_data=test,
                 mechanism=make_mechanism("fifl", threshold=0.0),
