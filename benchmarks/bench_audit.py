@@ -53,7 +53,7 @@ from repro.audit import (
     verify_trace,
 )
 from repro.core import make_mechanism
-from repro.fl.gradients import split_gradient
+from repro.fl.gradients import RoundBatch
 from repro.fl.trainer import RoundContext
 from repro.fl.workers import WorkerUpdate
 from repro.parallel import blas_limits
@@ -80,7 +80,6 @@ def make_round(
     server_ranks = list(range(num_servers))
     honest = rng.standard_normal(dim)
     updates: dict[int, WorkerUpdate] = {}
-    slices: dict[int, dict[int, np.ndarray]] = {}
     uncertain_ids = set(range(num_servers, num_servers + uncertain))
     for wid in range(num_workers):
         noise = rng.standard_normal(dim)
@@ -88,18 +87,18 @@ def make_round(
         updates[wid] = WorkerUpdate(
             worker_id=wid, gradient=grad, num_samples=100
         )
-        if wid in uncertain_ids:
-            continue  # lost a slice: uncertain event, no delivery
-        parts = split_gradient(grad, num_servers)
-        slices[wid] = {srv: parts[j] for j, srv in enumerate(server_ranks)}
+    # uncertain workers lost a slice: no delivery this round
+    batch = RoundBatch.stack(
+        (u for w, u in updates.items() if w not in uncertain_ids),
+        server_ranks,
+        dim,
+    )
     return RoundContext(
         round_idx=round_idx,
-        global_params=np.zeros(dim),
         server_ranks=server_ranks,
-        slices=slices,
+        batch=batch,
         updates=updates,
         uncertain=uncertain_ids,
-        sample_counts={w: 100 for w in range(num_workers)},
     )
 
 

@@ -1,10 +1,11 @@
-"""In-process message-passing substrate with MPI-style semantics.
+"""In-process message-passing substrate with MPI-style send/recv semantics.
 
 The paper's polycentric FL protocol moves gradient *slices* between
 workers and servers (S3.2 steps 1.3/1.4). We reproduce that protocol over
-an in-process network that keeps MPI's send/recv/bcast/gather vocabulary
-(mirroring how a multi-node deployment would be written with mpi4py) while
-adding three things the experiments need:
+an in-process network of tagged, FIFO send/recv links (mirroring how a
+multi-node deployment would be written with mpi4py), plus one
+synchronous round upload (:meth:`Network.exchange`), while adding three
+things the experiments need:
 
 * **failure injection** — each link can drop messages with a configured
   probability, links can be deterministically blocked (partitions,
@@ -266,26 +267,28 @@ class Network:
         links = self._queues.get(tag)
         return len(links.get((dst, src), ())) if links else 0
 
-    # -- collectives (MPI vocabulary over the same lossy links) ---------------
+    def exchange(
+        self, sends: list[tuple[int, list[Any]]], dsts: list[int], tag: str
+    ) -> np.ndarray:
+        """Synchronous zero-latency upload; returns the delivery mask.
 
-    def bcast(self, src: int, dsts: list[int], tag: str, payload: Any) -> list[int]:
-        """Send payload to each destination; returns ranks actually reached."""
-        return [d for d in dsts if self.send(src, d, tag, payload)]
-
-    def gather(self, dst: int, srcs: list[int], tag: str) -> dict[int, Any]:
-        """Collect one pending message per source; missing sources omitted."""
-        out: dict[int, Any] = {}
-        for s in srcs:
-            msg = self.recv(dst, s, tag)
-            if msg is not None:
-                out[s] = msg.payload
-        return out
-
-    def scatter(
-        self, src: int, parts: dict[int, Any], tag: str
-    ) -> list[int]:
-        """Send a distinct payload to each destination rank."""
-        return [d for d, payload in parts.items() if self.send(src, d, tag, payload)]
+        ``sends`` holds ``(src, parts)`` pairs: part ``j`` travels to
+        ``dsts[j]`` as the payload ``(j, parts[j])`` and is received at
+        once. Sends go sender by sender, destination by destination, so
+        the drop draws come in the same order as the per-message upload
+        actors of the event-driven path. Entry ``[i, j]`` of the returned
+        ``(len(sends), len(dsts))`` mask is True when part ``j`` of
+        sender ``i`` arrived.
+        """
+        if self.latency is not None:
+            raise RuntimeError("exchange() needs instantaneous links (no latency)")
+        mask = np.zeros((len(sends), len(dsts)), dtype=bool)
+        for i, (src, parts) in enumerate(sends):
+            for j, dst in enumerate(dsts):
+                if self.send(src, dst, tag, (j, parts[j])):
+                    self.recv(dst, src, tag)
+                    mask[i, j] = True
+        return mask
 
     # -- accounting ----------------------------------------------------------
 

@@ -30,7 +30,6 @@ from .detection import (
     detection_scores_matrix,
     server_score,
 )
-from .engine import RoundBatch, stack_benchmarks
 from .factory import (
     MECHANISM_NAMES,
     AcceptAllConfig,
@@ -66,8 +65,6 @@ __all__ = [
     "detection_scores",
     "detection_scores_matrix",
     "server_score",
-    "RoundBatch",
-    "stack_benchmarks",
     "MECHANISM_NAMES",
     "AcceptAllConfig",
     "AcceptAllMechanism",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from ..fl.trainer import RoundContext, RoundDecision
+from ..fl.trainer import AcceptAllMechanism
 from .detection import DetectionConfig
 from .fifl import FIFLConfig, FIFLMechanism
 from .robust import KrumMechanism, MedianMechanism
@@ -40,16 +40,6 @@ __all__ = [
 @dataclass(frozen=True)
 class AcceptAllConfig:
     """The undefended baseline has nothing to configure."""
-
-
-class AcceptAllMechanism:
-    """Accept every delivered update — Figures 7, 8, 10's no-defence arm."""
-
-    def __init__(self, config: AcceptAllConfig | None = None):
-        self.config = config if config is not None else AcceptAllConfig()
-
-    def process_round(self, ctx: RoundContext) -> RoundDecision:
-        return RoundDecision(accept={w: True for w in ctx.slices})
 
 
 @dataclass(frozen=True)
@@ -130,12 +120,8 @@ _BUILDERS = {
     "fifl-scalar": lambda ov, led: _build_fifl_variant(ov, led, engine="scalar"),
     "krum": _build_simple(KrumMechanism, KrumConfig),
     "median": _build_simple(MedianMechanism, MedianConfig),
-    "accept_all": lambda ov, led: AcceptAllMechanism(
-        ov.pop("config", None) or (AcceptAllConfig(**ov))
-    ),
-    "none": lambda ov, led: AcceptAllMechanism(
-        ov.pop("config", None) or (AcceptAllConfig(**ov))
-    ),
+    "accept_all": _build_simple(AcceptAllMechanism, AcceptAllConfig),
+    "none": _build_simple(AcceptAllMechanism, AcceptAllConfig),
 }
 
 #: Public mechanism names, in a stable order for CLIs and benches.

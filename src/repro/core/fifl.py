@@ -17,13 +17,15 @@ round:
 
 Two interchangeable engines implement the pipeline (``FIFLConfig.engine``):
 
-* ``"vectorized"`` (default) — the round's gradients are stacked once
-  into a :class:`~repro.core.engine.RoundBatch` matrix and every phase
-  runs as batched NumPy ops (one GEMM per server for detection, one
-  broadcasted reduction for distances, masked arithmetic for rewards).
-* ``"scalar"`` — the literal per-worker reference implementation, kept
-  for differential testing; both engines agree to < 1e-8 on every
-  per-round output (see ``tests/core/test_engine.py``).
+* ``"vectorized"`` (default) — every phase runs over the round's
+  :class:`~repro.fl.gradients.RoundBatch` matrix (``ctx.batch``, stacked
+  once by the trainer) as batched NumPy ops (one GEMM per server for
+  detection, one broadcasted reduction for distances, masked arithmetic
+  for rewards).
+* ``"scalar"`` — the literal per-worker, per-slice reference
+  implementation over views of the same batch, kept for differential
+  testing; both engines agree to < 1e-8 on every per-round output (see
+  ``tests/core/test_engine.py``).
 
 Phase wall-clock lands in :mod:`repro.telemetry` spans under ``fifl.*``
 keys. Each round additionally emits one ``fifl.round`` trace event —
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fl.gradients import fedavg, recombine, slice_offsets, split_gradient
+from ..fl.gradients import RoundBatch, fedavg, recombine, split_gradient
 from ..fl.trainer import RoundContext, RoundDecision
 from ..metrics.fairness import reward_fairness
 from ..parallel.backend import ExecutionBackend, emit_parallel_telemetry
@@ -60,16 +62,47 @@ from .contribution import (
     zero_baseline,
 )
 from .detection import AttackDetector, DetectionConfig, detection_scores_matrix
-from .engine import RoundBatch, stack_benchmarks
 from .incentive import allocate_rewards, reward_shares, reward_shares_array
 from .reputation import DecayReputation, SLMReputation
 
-__all__ = ["FIFLRoundRecord", "FIFLMechanism"]
+__all__ = ["FIFLRoundRecord", "FIFLMechanism", "stack_benchmarks"]
 
 _ENGINES = ("vectorized", "scalar")
 
 #: smallest row shard worth a parallel dispatch (auto-split floor)
 _MIN_PARALLEL_ROWS = 16
+
+
+def stack_benchmarks(
+    ctx: RoundContext,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Server benchmarks ``g_j^j`` sliced straight from local updates.
+
+    Returns ``(ranks, slots, slices)`` aligned lists: the server's worker
+    id, its slice index in the sorted server list, and its own local
+    slice (a view into its update — no copy, unlike the scalar path's
+    ``split_gradient``). Servers whose local update is missing (crashed
+    nodes) are skipped, matching the scalar ``_benchmarks``.
+    """
+    offsets = ctx.batch.offsets
+    ranks: list[int] = []
+    slots: list[int] = []
+    slices: list[np.ndarray] = []
+    for j, srv in enumerate(ctx.server_ranks):
+        upd = ctx.updates.get(srv)
+        if upd is None:
+            continue
+        grad = np.asarray(upd.gradient, dtype=np.float64)
+        ranks.append(srv)
+        slots.append(j)
+        slices.append(grad[offsets[j] : offsets[j + 1]])
+    if not ranks:
+        raise RuntimeError("no server produced a local gradient; cannot detect")
+    return (
+        np.asarray(ranks, dtype=np.int64),
+        np.asarray(slots, dtype=np.intp),
+        slices,
+    )
 
 
 @dataclass
@@ -242,17 +275,19 @@ class FIFLMechanism:
 
     @staticmethod
     def _filtered_global_gradient(
-        ctx: RoundContext, accepted: dict[int, bool]
+        batch: RoundBatch, accepted: dict[int, bool]
     ) -> np.ndarray | None:
         """Aggregate accepted slices into G̃ exactly as the trainer will."""
-        accepted_ids = [w for w in sorted(ctx.slices) if accepted.get(w, False)]
-        if not accepted_ids:
+        keep = batch.mask(accepted)
+        if not keep.any():
             return None
-        weights = [ctx.sample_counts[w] for w in accepted_ids]
-        agg = []
-        for srv in ctx.server_ranks:
-            agg.append(fedavg([ctx.slices[w][srv] for w in accepted_ids], weights))
-        return recombine(agg)
+        weights = batch.sample_counts[keep]
+        return recombine(
+            [
+                fedavg(batch.server_block(j)[keep], weights)
+                for j in range(len(batch.server_ranks))
+            ]
+        )
 
     @staticmethod
     def _server_mean_gradient(ctx: RoundContext) -> np.ndarray | None:
@@ -416,10 +451,18 @@ class FIFLMechanism:
     def _process_round_scalar(self, ctx: RoundContext) -> RoundDecision:
         """Reference per-worker pipeline (``engine="scalar"``)."""
         prof = self.profiler
-        # 1) attack detection on delivered slices
+        batch = ctx.batch
+        # worker -> full gradient (a row view of the batch)
+        full_grads = batch.to_dict(batch.gradients)
+        # 1) attack detection on delivered slices: worker -> {server: slice}
         with prof.phase("fifl.detect"):
             benchmarks = self._benchmarks(ctx)
-            scores, accepted = self.detector.detect(ctx.slices, benchmarks)
+            bounds = list(zip(batch.offsets[:-1], batch.offsets[1:]))
+            slices = {
+                w: {srv: g[lo:hi] for srv, (lo, hi) in zip(ctx.server_ranks, bounds)}
+                for w, g in full_grads.items()
+            }
+            scores, accepted = self.detector.detect(slices, benchmarks)
 
         # 2) reputation update: boolean outcome per scored worker,
         #    uncertain (None) for lost uploads
@@ -428,15 +471,11 @@ class FIFLMechanism:
 
         # 3) contributions against the filtered global gradient
         with prof.phase("fifl.contribution"):
-            global_grad = self._filtered_global_gradient(ctx, accepted)
+            global_grad = self._filtered_global_gradient(batch, accepted)
             distances: dict[int, float] = {}
             contribs: dict[int, float] = {}
             b_h: float | None = None
             if global_grad is not None:
-                full_grads = {
-                    w: recombine([ctx.slices[w][srv] for srv in ctx.server_ranks])
-                    for w in ctx.slices
-                }
                 reference_grad = (
                     self._server_mean_gradient(ctx)
                     if self.config.contribution_reference == "server_mean"
@@ -458,10 +497,10 @@ class FIFLMechanism:
                     # point that scores everyone else.
                     keep = {
                         w: accepted.get(w, False) and contribs.get(w, 0.0) >= 0.0
-                        for w in ctx.slices
+                        for w in full_grads
                     }
                     if self.config.contribution_reference == "aggregate":
-                        cleaned = self._filtered_global_gradient(ctx, keep)
+                        cleaned = self._filtered_global_gradient(batch, keep)
                         if cleaned is not None:
                             distances, b_h, contribs = self._score_contributions(
                                 cleaned, full_grads
@@ -490,29 +529,13 @@ class FIFLMechanism:
         """Batched pipeline over the round's ``(N, D)`` gradient matrix."""
         prof = self.profiler
         cfg = self.config
-
-        with prof.phase("fifl.batch"):
-            batch = RoundBatch.from_context(ctx)
-            dim = None
-            for srv in ctx.server_ranks:
-                upd = ctx.updates.get(srv)
-                if upd is not None:
-                    dim = np.asarray(upd.gradient).size
-                    break
-            if dim is None:
-                raise RuntimeError(
-                    "no server produced a local gradient; cannot detect"
-                )
-            offsets = (
-                batch.offsets
-                if batch is not None
-                else slice_offsets(dim, len(ctx.server_ranks))
-            )
+        batch = ctx.batch
+        has_rows = batch.num_workers > 0
 
         # 1) attack detection: one GEMM per server over the slice blocks
         with prof.phase("fifl.detect"):
-            ranks, slots, bench_slices = stack_benchmarks(ctx, offsets)
-            if batch is not None:
+            ranks, slots, bench_slices = stack_benchmarks(ctx)
+            if has_rows:
                 score_vec = self._detection_scores_sharded(
                     batch, ranks, slots, bench_slices
                 )
@@ -534,11 +557,8 @@ class FIFLMechanism:
             contribs: dict[int, float] = {}
             b_h: float | None = None
             contrib_vec = None
-            if batch is not None:
-                accept_mask = np.asarray(
-                    [accepted[int(w)] for w in batch.worker_ids], dtype=bool
-                )
-                global_grad = batch.weighted_average(accept_mask)
+            if has_rows:
+                global_grad = batch.weighted_average(accept_vec)
                 if global_grad is not None:
                     reference_grad = (
                         self._server_mean_gradient(ctx)
@@ -555,7 +575,7 @@ class FIFLMechanism:
                         # from the aggregate, re-score everyone (see the
                         # scalar path for the rationale).
                         if cfg.contribution_reference == "aggregate":
-                            keep_mask = accept_mask & (contrib_vec >= 0.0)
+                            keep_mask = accept_vec & (contrib_vec >= 0.0)
                             cleaned = batch.weighted_average(keep_mask)
                             if cleaned is not None:
                                 dist_vec, b_h, contrib_vec = (
@@ -566,7 +586,7 @@ class FIFLMechanism:
 
         # 4) incentive: masked share arithmetic, budget scaling
         with prof.phase("fifl.incentive"):
-            if batch is not None and contrib_vec is not None:
+            if contrib_vec is not None:
                 rep_vec = np.asarray(
                     [
                         reputations.get(int(w), self.reputation.reputation(int(w)))
@@ -586,7 +606,7 @@ class FIFLMechanism:
         return self._finalize(
             ctx, scores, accepted, outcomes, reputations, distances, b_h,
             contribs, shares, rewards,
-            score_vec=score_vec if batch is not None else None,
+            score_vec=score_vec if has_rows else None,
             reward_vec=reward_vec,
         )
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.trainer import RoundContext, RoundDecision
-from .engine import RoundBatch
 
 __all__ = [
     "coordinate_median",
@@ -96,9 +95,9 @@ class KrumMechanism:
     """Round mechanism: accept only the single Krum-selected worker.
 
     The trainer's weighted average over one accepted worker reduces to
-    exactly that worker's gradient, which is Krum's model update. The
-    delivered slices are stacked once into a :class:`RoundBatch` matrix;
-    Krum's pairwise distances are a single Gram-matrix GEMM over it.
+    exactly that worker's gradient, which is Krum's model update. Krum's
+    pairwise distances are a single Gram-matrix GEMM over the round's
+    gradient matrix (``ctx.batch``).
     """
 
     def __init__(self, num_byzantine: int):
@@ -107,8 +106,8 @@ class KrumMechanism:
         self.num_byzantine = num_byzantine
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
-        batch = RoundBatch.from_context(ctx)
-        if batch is None:
+        batch = ctx.batch
+        if batch.num_workers == 0:
             return RoundDecision(accept={})
         winner = int(
             batch.worker_ids[krum(batch.gradients, self.num_byzantine)]
@@ -135,8 +134,8 @@ class MedianMechanism:
         self.keep_fraction = keep_fraction
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
-        batch = RoundBatch.from_context(ctx)
-        if batch is None:
+        batch = ctx.batch
+        if batch.num_workers == 0:
             return RoundDecision(accept={})
         med = coordinate_median(batch.gradients)
         dist_vec = np.linalg.norm(batch.gradients - med[None, :], axis=1)

@@ -6,10 +6,13 @@ generalization the paper claims in S3.2. Gradient uploads travel over the
 lossy :class:`~repro.comm.Network`; a lost slice makes that worker's round
 an *uncertain event* (neither positive nor negative for reputation).
 
-A pluggable mechanism (e.g. :class:`repro.core.FIFLMechanism`) inspects the
-per-server slices each round and decides which workers' gradients enter the
-aggregate; with no mechanism every delivered update is accepted, which is
-the undefended baseline of Figures 7, 8 and 10.
+Each round the trainer stacks the fully delivered gradients once into a
+:class:`~repro.fl.gradients.RoundBatch` (``RoundContext.batch``); server
+j's slice matrix is a column block of it. A pluggable mechanism (e.g.
+:class:`repro.core.FIFLMechanism`) reads that batch and decides which
+workers' gradients enter the aggregate; with no mechanism every
+delivered update is accepted (:class:`AcceptAllMechanism`), which is the
+undefended baseline of Figures 7, 8 and 10.
 
 Rosters and cohorts
 -------------------
@@ -48,10 +51,11 @@ from ..sim import FaultScenario, SimRoundRunner, Simulator, make_latency
 from ..telemetry import get_telemetry, profile_delta
 from .evaluation import evaluate
 from .fleet_compute import FleetLocalEngine
-from .gradients import fedavg, recombine, split_views
+from .gradients import RoundBatch, fedavg, recombine, split_views
 from .workers import Worker, WorkerUpdate
 
 __all__ = [
+    "AcceptAllMechanism",
     "RoundContext",
     "RoundDecision",
     "RoundMechanism",
@@ -65,15 +69,15 @@ class RoundContext:
     """Everything a mechanism may inspect in one communication round."""
 
     round_idx: int
-    global_params: np.ndarray
     server_ranks: list[int]
-    # worker_id -> {server_rank: delivered gradient slice}
-    slices: dict[int, dict[int, np.ndarray]]
-    # worker_id -> full update (for ground truth / full-vector scoring)
+    # every fully delivered gradient, one row per worker (ascending ids);
+    # server j's delivered slices are the column block batch.server_block(j)
+    batch: RoundBatch
+    # worker_id -> full local update of every worker that computed one
+    # (ground truth, and the servers' own benchmark slices)
     updates: dict[int, WorkerUpdate]
     # workers whose upload was (partly) lost this round: uncertain events
     uncertain: set[int]
-    sample_counts: dict[int, int]
 
 
 @dataclass
@@ -92,11 +96,14 @@ class RoundMechanism(Protocol):
     def process_round(self, ctx: RoundContext) -> RoundDecision: ...
 
 
-class _AcceptAll:
-    """Default mechanism: accept every delivered update (no defence)."""
+class AcceptAllMechanism:
+    """Accept every delivered update: the trainer's default and the
+    no-defence arm of Figures 7, 8 and 10."""
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
-        return RoundDecision(accept={w: True for w in ctx.slices})
+        return RoundDecision(
+            accept=dict.fromkeys(ctx.batch.worker_ids.tolist(), True)
+        )
 
 
 @dataclass
@@ -232,7 +239,9 @@ class FederatedTrainer:
         self.model = model
         self.fleet_shard_size = fleet_shard_size
         self.test_data = test_data
-        self.mechanism: RoundMechanism = mechanism if mechanism is not None else _AcceptAll()
+        self.mechanism: RoundMechanism = (
+            mechanism if mechanism is not None else AcceptAllMechanism()
+        )
         self.server_lr = server_lr if not callable(server_lr) else None
         self.seed = seed
         # A FaultScenario moves the upload/collection phase onto the
@@ -429,37 +438,6 @@ class FederatedTrainer:
 
     # -- one communication round ----------------------------------------------
 
-    def _upload_slices(
-        self, updates: dict[int, WorkerUpdate], round_idx: int
-    ) -> tuple[dict[int, dict[int, np.ndarray]], set[int]]:
-        """Workers split gradients and send slice j to server j (step 1.3).
-
-        Slicing uses the memoized boundary table and read-only views —
-        no per-worker copies; the bytes-on-the-wire accounting of the
-        network substrate is unchanged.
-        """
-        tag = f"slice:{round_idx}"
-        for wid, upd in updates.items():
-            parts = split_views(upd.gradient, self.num_servers)
-            for j, srv in enumerate(self.server_ranks):
-                self.network.send(wid, srv, tag, (j, parts[j]))
-        delivered: dict[int, dict[int, np.ndarray]] = {}
-        uncertain: set[int] = set()
-        for wid in updates:
-            got: dict[int, np.ndarray] = {}
-            for srv in self.server_ranks:
-                msg = self.network.recv(srv, wid, tag)
-                if msg is not None:
-                    _, part = msg.payload
-                    got[srv] = part
-            if len(got) == self.num_servers:
-                delivered[wid] = got
-            else:
-                # Any lost slice -> the round is unidentifiable for this
-                # worker: an SLM uncertain event, excluded from aggregation.
-                uncertain.add(wid)
-        return delivered, uncertain
-
     def run_round(self, round_idx: int) -> RoundRecord:
         """Execute one synchronous round and update the global model."""
         with self.profiler.span("trainer.round", kind="round", round=round_idx):
@@ -498,30 +476,40 @@ class FederatedTrainer:
                 }
         sim_info = None
         with prof.phase("trainer.upload"):
+            # Step 1.3: every worker sends slice j of its gradient (a
+            # read-only view, no copy) to server j. Collection yields the
+            # (workers, servers) delivery mask.
+            sends = [
+                (wid, split_views(upd.gradient, self.num_servers))
+                for wid, upd in updates.items()
+            ]
+            tag = f"slice:{round_idx}"
             if self._sim_runner is not None:
-                sends = [
-                    (wid, split_views(upd.gradient, self.num_servers))
-                    for wid, upd in updates.items()
-                ]
-                delivered, uncertain, sim_info = self._sim_runner.collect(
-                    sends, round_idx, plan
-                )
+                mask, sim_info = self._sim_runner.collect(sends, round_idx, plan)
             else:
-                delivered, uncertain = self._upload_slices(updates, round_idx)
-        # Collection is over: close the uplink tag so late slices (sim
-        # path) are discarded and no emptied queue outlives the round.
-        self.network.cancel_tag(f"slice:{round_idx}")
+                mask = self.network.exchange(sends, self.server_ranks, tag)
+            # Collection is over: close the uplink tag so late slices (sim
+            # path) are discarded and no emptied queue outlives the round.
+            self.network.cancel_tag(tag)
+            # Any lost slice makes the round unidentifiable for that
+            # worker: an SLM uncertain event, excluded from aggregation.
+            # The fully delivered gradients are stacked once, here.
+            complete = mask.all(axis=1)
+            uncertain = {wid for (wid, _), ok in zip(sends, complete) if not ok}
+            batch = RoundBatch.stack(
+                (updates[wid] for (wid, _), ok in zip(sends, complete) if ok),
+                self.server_ranks,
+                theta.size,
+            )
         prof.count("trainer.rounds")
         prof.count("trainer.uncertain_workers", len(uncertain))
 
         ctx = RoundContext(
             round_idx=round_idx,
-            global_params=theta,
             server_ranks=list(self.server_ranks),
-            slices=delivered,
+            batch=batch,
             updates=updates,
             uncertain=uncertain,
-            sample_counts={w.worker_id: w.num_samples for w in roster},
         )
         with prof.phase("trainer.mechanism"):
             decision = self.mechanism.process_round(ctx)
@@ -532,20 +520,23 @@ class FederatedTrainer:
         if reps:
             self.population.write_reputations(reps)
 
-        accepted_ids = [w for w in sorted(delivered) if decision.accept.get(w, False)]
+        keep = batch.mask(decision.accept)
         grad_norm = 0.0
-        if accepted_ids:
+        if keep.any():
             # Servers aggregate their slice over accepted workers (step 2.2),
             # then slices recombine into the global gradient (step 1.5).
+            # Each server averages a C-contiguous copy of the accepted
+            # rows of its column block.
             with prof.phase("trainer.aggregate"):
-                weights = [ctx.sample_counts[w] for w in accepted_ids]
+                weights = batch.sample_counts[keep]
                 agg_slices = []
-                for srv in self.server_ranks:
+                for j, srv in enumerate(self.server_ranks):
                     with prof.span(
                         "trainer.server_slice", kind="slice", server=srv
                     ):
-                        per_server = [delivered[w][srv] for w in accepted_ids]
-                        agg_slices.append(fedavg(per_server, weights))
+                        agg_slices.append(
+                            fedavg(batch.server_block(j)[keep], weights)
+                        )
                 global_grad = recombine(agg_slices)
             grad_norm = float(np.linalg.norm(global_grad))
             prof.gauge("trainer.grad_norm", grad_norm)
@@ -568,18 +559,18 @@ class FederatedTrainer:
             self.network.cancel_tag(tag)
             # FedAvg-BN: average accepted workers' running statistics into
             # the global model so evaluation normalizes with live stats.
-            buffer_vecs = [
-                updates[w].buffers
-                for w in accepted_ids
+            with_buffers = [
+                updates[w]
+                for w in batch.worker_ids[keep].tolist()
                 if updates[w].buffers is not None
             ]
-            if buffer_vecs and self.model.num_buffer_values:
-                weights_b = [
-                    ctx.sample_counts[w]
-                    for w in accepted_ids
-                    if updates[w].buffers is not None
-                ]
-                self.model.set_flat_buffers(fedavg(buffer_vecs, weights_b))
+            if with_buffers and self.model.num_buffer_values:
+                self.model.set_flat_buffers(
+                    fedavg(
+                        [u.buffers for u in with_buffers],
+                        [u.num_samples for u in with_buffers],
+                    )
+                )
 
         test_loss = test_acc = None
         if self.test_data is not None:

@@ -14,28 +14,32 @@ and drives one communication round on the virtual clock:
 3. **collection** — the server cluster drains arrivals in event order
    and closes the round when every slice has resolved (delivered or
    abandoned) or at the deadline ``t0 + round_timeout_s``, whichever
-   comes first. Late or missing slices make that worker's round an
-   *uncertain event* — exactly the reputation path instantaneous drops
-   already take (S4.2), so SLM reputation and rewards respond to
-   realistic failures with no mechanism changes.
+   comes first. The result is the same ``(workers, servers)`` delivery
+   mask the direct path gets from :meth:`~repro.comm.Network.exchange`;
+   the trainer turns it into the round's
+   :class:`~repro.fl.gradients.RoundBatch`. Late or missing slices make
+   that worker's round an *uncertain event* — exactly the reputation
+   path instantaneous drops already take (S4.2), so SLM reputation and
+   rewards respond to realistic failures with no mechanism changes.
 
-The zero-fault, zero-latency scenario runs the same machinery (events,
-virtual clock, collection loop) but makes exactly the same RNG draws in
-exactly the same order as the direct loop — differential-tested to
-reproduce ``FederatedTrainer`` histories bit-for-bit, and benchmarked
-to stay within 5% of the direct loop (``benchmarks/bench_sim.py``).
+A round with no latency, retries or compute delay needs no events: it
+runs the direct path's own synchronous exchange, so the zero-fault
+scenario makes exactly the same RNG draws in exactly the same order as
+the direct loop. Rounds that do use the event heap still send in that
+order; both are differential-tested to reproduce ``FederatedTrainer``
+histories bit-for-bit, and benchmarked to stay within 5% of the direct
+loop (``benchmarks/bench_sim.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .faults import FaultScenario
 from .kernel import Simulator
-from .latency import make_latency
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fl.trainer import FederatedTrainer
@@ -79,10 +83,7 @@ class SimRoundRunner:
         # rng feeds the fault processes (stragglers, compute-time models),
         # independent of the network's drop and latency streams, so
         # adding faults never reshuffles other randomness.
-        sim = getattr(trainer.network, "sim", None)
-        self.sim: Simulator = sim if sim is not None else Simulator(
-            seed=(trainer_seed_of(trainer), scenario.seed, 0x51D)
-        )
+        self.sim: Simulator = trainer.network.sim
         self.offline: set[int] = set()
         # A null scenario with no per-worker compute models yields the
         # same (empty) plan every round — skip the per-round planning.
@@ -173,15 +174,17 @@ class SimRoundRunner:
 
     def collect(
         self,
-        sends: Iterable[tuple[int, list[np.ndarray]]],
+        sends: list[tuple[int, list[np.ndarray]]],
         round_idx: int,
         plan: _RoundPlan,
-    ) -> tuple[dict[int, dict[int, np.ndarray]], set[int], dict]:
+    ) -> tuple[np.ndarray, dict]:
         """Run the round's upload/collection on the virtual clock.
 
         ``sends`` is ``(worker_id, slice parts)`` in the same order the
         direct path would send — with zero faults the event schedule
-        replays exactly that order, draw for draw.
+        replays exactly that order, draw for draw. Returns the
+        ``(len(sends), num_servers)`` delivery mask and the round's sim
+        detail.
         """
         sim = self.sim
         trainer = self.trainer
@@ -197,27 +200,28 @@ class SimRoundRunner:
 
         # Degenerate rounds — no latency, no retries, no compute delay,
         # nothing already in flight — need no events at all: every send
-        # resolves at t0, in exactly the order the actors would fire.
-        # Replaying them synchronously keeps the zero-fault path within
-        # the direct loop's budget (see benchmarks/bench_sim.py).
+        # resolves at t0, in exactly the order the actors would fire, so
+        # the direct path's synchronous exchange replays them (see
+        # benchmarks/bench_sim.py for the budget this keeps).
         if (
             scenario.max_retries == 0
             and trainer.network.latency is None
             and sim.idle()
             and all(v == 0.0 for v in plan.compute_s.values())
         ):
-            return self._collect_fast(sends, round_idx, plan, state)
+            return self._collect_fast(sends, state.tag, plan)
 
-        worker_ids: list[int] = []
+        worker_ids = [wid for wid, _ in sends]
         for wid, parts in sends:
-            worker_ids.append(wid)
             sim.spawn(
                 self._upload_proc(wid, parts, servers, state),
                 delay=plan.compute_s.get(wid, 0.0),
             )
 
+        row = {wid: i for i, wid in enumerate(worker_ids)}
+        col = {srv: j for j, srv in enumerate(servers)}
         outstanding = {(wid, srv) for wid in worker_ids for srv in servers}
-        got: dict[int, dict[int, np.ndarray]] = {wid: {} for wid in worker_ids}
+        mask = np.zeros((len(worker_ids), len(servers)), dtype=bool)
         resolve_at: dict[int, float] = {}
         while outstanding:
             outstanding -= state.abandoned
@@ -232,8 +236,7 @@ class SimRoundRunner:
             for wid, srv in sorted(outstanding):
                 msg = trainer.network.recv(srv, wid, state.tag)
                 if msg is not None:
-                    j, part = msg.payload
-                    got[wid][srv] = part
+                    mask[row[wid], col[srv]] = True
                     resolve_at[wid] = sim.now
                     outstanding.discard((wid, srv))
 
@@ -243,14 +246,9 @@ class SimRoundRunner:
         if deadline is not None and late_pairs:
             sim.advance_to(deadline)
         duration = sim.now - t0
-
-        delivered: dict[int, dict[int, np.ndarray]] = {}
-        uncertain: set[int] = set()
-        for wid in worker_ids:
-            if len(got[wid]) == len(servers):
-                delivered[wid] = got[wid]
-            else:
-                uncertain.add(wid)
+        uncertain = [
+            wid for wid, ok in zip(worker_ids, mask.all(axis=1)) if not ok
+        ]
 
         late_workers = sorted({wid for wid, _ in late_pairs})
         sim_info = {
@@ -265,15 +263,11 @@ class SimRoundRunner:
             },
         }
         self._emit_round_telemetry(round_idx, sim_info, uncertain)
-        return delivered, uncertain, sim_info
+        return mask, sim_info
 
     def _collect_fast(
-        self,
-        sends: Iterable[tuple[int, list[np.ndarray]]],
-        round_idx: int,
-        plan: _RoundPlan,
-        state: _RoundState,
-    ) -> tuple[dict[int, dict[int, np.ndarray]], set[int], dict]:
+        self, sends: list[tuple[int, list[np.ndarray]]], tag: str, plan: _RoundPlan
+    ) -> tuple[np.ndarray, dict]:
         """Synchronous replay of a zero-delay round.
 
         Every slice is sent and received at ``t0`` in the same order the
@@ -284,25 +278,9 @@ class SimRoundRunner:
         still account every byte and drop.
         """
         trainer = self.trainer
-        net = trainer.network
-        servers = list(trainer.server_ranks)
         t0 = self.sim.now
-        delivered: dict[int, dict[int, np.ndarray]] = {}
-        uncertain: set[int] = set()
-        resolved: list[int] = []
-        for wid, parts in sends:
-            got: dict[int, np.ndarray] = {}
-            for j, srv in enumerate(servers):
-                if net.send(wid, srv, state.tag, (j, parts[j])):
-                    msg = net.recv(srv, wid, state.tag)
-                    got[srv] = msg.payload[1]
-            if got:
-                resolved.append(wid)
-            if len(got) == len(servers):
-                delivered[wid] = got
-            else:
-                uncertain.add(wid)
-        state.closed = True
+        mask = trainer.network.exchange(sends, trainer.server_ranks, tag)
+        resolved = [wid for (wid, _), any_ in zip(sends, mask.any(axis=1)) if any_]
         sim_info = {
             "t_start_s": t0,
             "duration_s": 0.0,
@@ -312,12 +290,12 @@ class SimRoundRunner:
             "late": [],
             "worker_time_s": {wid: 0.0 for wid in sorted(resolved)},
         }
-        return delivered, uncertain, sim_info
+        return mask, sim_info
 
     # -- telemetry -------------------------------------------------------------
 
     def _emit_round_telemetry(
-        self, round_idx: int, sim_info: dict, uncertain: set[int]
+        self, round_idx: int, sim_info: dict, uncertain: list[int]
     ) -> None:
         tele = self.trainer.profiler
         if not tele.enabled:
@@ -355,12 +333,3 @@ class SimRoundRunner:
             },
         )
 
-
-def trainer_seed_of(trainer) -> int:
-    """The trainer's integer seed (kept separate for testability)."""
-    return int(getattr(trainer, "seed", 0))
-
-
-def build_network_kwargs(scenario: FaultScenario, sim: Simulator) -> dict:
-    """Network constructor extras for a scenario (latency + simulator)."""
-    return {"latency": make_latency(scenario.latency), "sim": sim}

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.comm import Network
+from repro.sim import Simulator
+from repro.sim.latency import ConstantLatency
 from repro.telemetry import Telemetry, set_telemetry
 
 
@@ -122,26 +124,30 @@ class TestFailureInjection:
             net.set_blocked_links({(0, 9)})
 
 
-class TestCollectives:
-    def test_bcast_reaches_all(self):
-        net = Network(4)
-        reached = net.bcast(0, [1, 2, 3], "model", np.zeros(3))
-        assert reached == [1, 2, 3]
-        for d in (1, 2, 3):
-            assert net.recv(d, 0, "model") is not None
+class TestExchange:
+    def test_mask_matches_per_message_sends_draw_for_draw(self):
+        net = Network(5, drop_prob=0.3, seed=4)
+        ref = Network(5, drop_prob=0.3, seed=4)
+        dsts = [0, 1]
+        sends = [(w, [np.zeros(2), np.ones(3)]) for w in (2, 3, 4, 1)]
+        mask = net.exchange(sends, dsts, "t")
+        expected = [
+            [ref.send(w, d, "t", (j, parts[j])) for j, d in enumerate(dsts)]
+            for w, parts in sends
+        ]
+        assert mask.shape == (4, 2) and mask.dtype == bool
+        assert mask.tolist() == expected
+        assert not mask.all() and mask.any()
+        assert net.drop_log.drops == ref.drop_log.drops
+        assert net.bytes_sent == ref.bytes_sent
+        # every delivered part was received at once
+        assert net.messages_delivered == mask.sum()
+        assert all(net.pending(d, w, "t") == 0 for w, _ in sends for d in dsts)
 
-    def test_gather_collects_present(self):
-        net = Network(4)
-        net.send(1, 0, "g", "one")
-        net.send(3, 0, "g", "three")
-        got = net.gather(0, [1, 2, 3], "g")
-        assert got == {1: "one", 3: "three"}
-
-    def test_scatter_distinct_payloads(self):
-        net = Network(3)
-        net.scatter(0, {1: "a", 2: "b"}, "slice")
-        assert net.recv(1, 0, "slice").payload == "a"
-        assert net.recv(2, 0, "slice").payload == "b"
+    def test_needs_instantaneous_links(self):
+        net = Network(2, latency=ConstantLatency(0.1), sim=Simulator(seed=0))
+        with pytest.raises(RuntimeError):
+            net.exchange([(1, [np.zeros(1)])], [0], "t")
 
 
 class TestAccounting:

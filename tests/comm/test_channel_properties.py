@@ -75,20 +75,28 @@ def test_tag_isolation(tags, seed):
     seed=st.integers(0, 1000),
 )
 def test_collective_byte_accounting_equals_per_link_sum(n_nodes, sizes, seed):
-    """bcast/scatter/gather account exactly the sum of per-link sends."""
+    """Fan-out sends and the synchronous exchange account exactly the
+    sum of per-link sends; receiving never changes byte accounting."""
     net = Network(n_nodes, seed=seed)
     others = list(range(1, n_nodes))
     expected = 0
     for size in sizes:
-        net.bcast(0, others, "b", np.zeros(size))
-        expected += 8 * size * len(others)
-        net.scatter(0, {d: np.zeros(size + d) for d in others}, "s")
-        expected += sum(8 * (size + d) for d in others)
+        for d in others:
+            net.send(0, d, "b", np.zeros(size))  # one payload to everyone
+            net.send(0, d, "s", np.zeros(size + d))  # a distinct one each
+            expected += 8 * size + 8 * (size + d)
     for d in others:
         net.send(d, 0, "g", np.zeros(3))
         expected += 24
-    net.gather(0, others, "g")  # receiving must not change accounting
-    assert net.total_bytes() == expected
+    # every other node uploads a 2-value part to node 0, framed (j, part)
+    net.exchange([(d, [np.zeros(2)]) for d in others], [0], "x")
+    expected += (8 + 16) * len(others)
+    before = net.total_bytes()
+    for d in others:
+        for src, dst, tag in ((0, d, "b"), (0, d, "s"), (d, 0, "g")):
+            while net.recv(dst, src, tag) is not None:
+                pass
+    assert net.total_bytes() == before == expected
     assert net.total_bytes() == sum(net.bytes_sent.values())
 
 

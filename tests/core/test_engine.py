@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_mechanism
-from repro.core.engine import RoundBatch, stack_benchmarks
+from repro.core.fifl import stack_benchmarks
 from repro.fl.gradients import fedavg, recombine, slice_offsets, split_gradient
-from repro.fl.trainer import RoundContext
 from repro.fl.workers import WorkerUpdate
+from tests.helpers import round_context
 
 TOL = 1e-8
 
@@ -39,7 +39,7 @@ def make_ctx(
     rng = np.random.default_rng(seed * 7919 + round_idx)
     server_ranks = list(range(num_servers))
     honest = rng.standard_normal(dim)
-    updates, slices = {}, {}
+    updates = {}
     for wid in range(num_workers):
         noise = rng.standard_normal(dim)
         if wid in blowup:
@@ -48,20 +48,11 @@ def make_ctx(
             grad = honest + 0.3 * noise
         else:
             grad = attacker_scale * honest + noise
-        updates[wid] = WorkerUpdate(worker_id=wid, gradient=grad, num_samples=100)
-        if wid in uncertain:
-            continue  # lost a slice: no delivery this round
-        parts = split_gradient(grad, num_servers)
-        slices[wid] = {srv: parts[j] for j, srv in enumerate(server_ranks)}
-    return RoundContext(
-        round_idx=round_idx,
-        global_params=np.zeros(dim),
-        server_ranks=server_ranks,
-        slices=slices,
-        updates=updates,
-        uncertain=set(uncertain),
-        sample_counts={w: 100 + 10 * (w % 3) for w in range(num_workers)},
-    )
+        updates[wid] = WorkerUpdate(
+            worker_id=wid, gradient=grad, num_samples=100 + 10 * (wid % 3)
+        )
+    # uncertain workers lost a slice: no delivery this round
+    return round_context(round_idx, server_ranks, updates, uncertain)
 
 
 def _assert_value_close(a, b, label):
@@ -115,39 +106,50 @@ def run_engines(contexts, **cfg_kwargs):
 class TestRoundBatch:
     def test_rows_are_recombined_gradients_in_id_order(self):
         ctx = make_ctx(num_workers=6, num_servers=3, uncertain=(4,))
-        batch = RoundBatch.from_context(ctx)
-        assert list(batch.worker_ids) == sorted(ctx.slices)
+        batch = ctx.batch
+        assert list(batch.worker_ids) == [0, 1, 2, 3, 5]
         for i, wid in enumerate(batch.worker_ids):
-            full = recombine([ctx.slices[wid][s] for s in ctx.server_ranks])
-            np.testing.assert_array_equal(batch.gradients[i], full)
+            parts = split_gradient(ctx.updates[wid].gradient, 3)
+            np.testing.assert_array_equal(batch.gradients[i], recombine(parts))
+        np.testing.assert_array_equal(
+            batch.sample_counts, [100.0, 110.0, 120.0, 100.0, 120.0]
+        )
 
     def test_offsets_match_slice_offsets_table(self):
         ctx = make_ctx(num_workers=5, dim=50, num_servers=3)
-        batch = RoundBatch.from_context(ctx)
+        batch = ctx.batch
         np.testing.assert_array_equal(batch.offsets, slice_offsets(50, 3))
 
     def test_server_block_is_a_view_of_the_slice_columns(self):
         ctx = make_ctx(num_workers=5, num_servers=2)
-        batch = RoundBatch.from_context(ctx)
-        for j, srv in enumerate(ctx.server_ranks):
+        batch = ctx.batch
+        for j in range(len(ctx.server_ranks)):
             block = batch.server_block(j)
             assert block.base is batch.gradients
             for i, wid in enumerate(batch.worker_ids):
-                np.testing.assert_array_equal(block[i], ctx.slices[wid][srv])
+                part = split_gradient(ctx.updates[wid].gradient, 2)[j]
+                np.testing.assert_array_equal(block[i], part)
 
-    def test_empty_round_stacks_to_none(self):
-        ctx = make_ctx(num_workers=4, uncertain=(0, 1, 2, 3))
-        assert RoundBatch.from_context(ctx) is None
+    def test_empty_round_stacks_to_zero_rows(self):
+        ctx = make_ctx(num_workers=4, dim=48, uncertain=(0, 1, 2, 3))
+        batch = ctx.batch
+        assert batch.num_workers == 0
+        assert batch.gradients.shape == (0, 48)
+        np.testing.assert_array_equal(batch.offsets, slice_offsets(48, 2))
+        assert batch.server_block(1).shape == (0, 24)
 
     def test_weighted_average_matches_fedavg_recombine(self):
         ctx = make_ctx(num_workers=7, num_servers=3)
-        batch = RoundBatch.from_context(ctx)
+        batch = ctx.batch
         keep = np.array([True, False, True, True, False, True, True])
         kept_ids = [int(w) for w, k in zip(batch.worker_ids, keep) if k]
-        weights = [ctx.sample_counts[w] for w in kept_ids]
+        weights = [ctx.updates[w].num_samples for w in kept_ids]
         expected = recombine([
-            fedavg([ctx.slices[w][srv] for w in kept_ids], weights)
-            for srv in ctx.server_ranks
+            fedavg(
+                [split_gradient(ctx.updates[w].gradient, 3)[j] for w in kept_ids],
+                weights,
+            )
+            for j in range(3)
         ])
         np.testing.assert_allclose(
             batch.weighted_average(keep), expected, atol=TOL, rtol=0
@@ -155,7 +157,7 @@ class TestRoundBatch:
 
     def test_weighted_average_all_kept_fast_path_agrees(self):
         ctx = make_ctx(num_workers=6)
-        batch = RoundBatch.from_context(ctx)
+        batch = ctx.batch
         all_keep = np.ones(batch.num_workers, dtype=bool)
         drop_none = batch.weighted_average(all_keep)
         # same reduction through the copying branch
@@ -168,7 +170,7 @@ class TestRoundBatch:
 
     def test_mask_accepts_dict_and_array_forms(self):
         ctx = make_ctx(num_workers=4)
-        batch = RoundBatch.from_context(ctx)
+        batch = ctx.batch
         verdict = {0: True, 1: False, 2: True, 3: False}
         np.testing.assert_array_equal(
             batch.mask(verdict), np.array([True, False, True, False])
@@ -180,12 +182,12 @@ class TestRoundBatch:
 
     def test_mask_missing_worker_defaults_to_rejected(self):
         ctx = make_ctx(num_workers=3)
-        batch = RoundBatch.from_context(ctx)
+        batch = ctx.batch
         assert not batch.mask({0: True})[1:].any()
 
     def test_to_dict_roundtrip_and_shape_guard(self):
         ctx = make_ctx(num_workers=4)
-        batch = RoundBatch.from_context(ctx)
+        batch = ctx.batch
         values = np.arange(4, dtype=np.float64)
         out = batch.to_dict(values)
         assert out == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
@@ -195,7 +197,7 @@ class TestRoundBatch:
 
     def test_row_sqnorms_cached_and_correct(self):
         ctx = make_ctx(num_workers=5)
-        batch = RoundBatch.from_context(ctx)
+        batch = ctx.batch
         first = batch.row_sqnorms
         np.testing.assert_allclose(
             first, (batch.gradients**2).sum(axis=1), atol=TOL, rtol=0
@@ -205,8 +207,7 @@ class TestRoundBatch:
     def test_stack_benchmarks_skips_crashed_servers(self):
         ctx = make_ctx(num_workers=6, num_servers=3)
         del ctx.updates[1]  # server 1 crashed: no local gradient
-        batch = RoundBatch.from_context(ctx)
-        ranks, slots, bench = stack_benchmarks(ctx, batch.offsets)
+        ranks, slots, bench = stack_benchmarks(ctx)
         assert list(ranks) == [0, 2]
         assert list(slots) == [0, 2]
         for rank, slot, sl in zip(ranks, slots, bench):

@@ -222,7 +222,7 @@ class _BoomMechanism:
         self.calls += 1
         if self.calls >= 2:
             raise RuntimeError("boom")
-        return RoundDecision(accept={w: True for w in ctx.slices})
+        return RoundDecision(accept=dict.fromkeys(ctx.batch.worker_ids.tolist(), True))
 
 
 class TestTrainerIntegration:

@@ -118,7 +118,9 @@ class TestMechanismHook:
     def test_rejecting_mechanism_blocks_update(self):
         class RejectAll:
             def process_round(self, ctx):
-                return RoundDecision(accept={w: False for w in ctx.slices})
+                return RoundDecision(
+                    accept=dict.fromkeys(ctx.batch.worker_ids.tolist(), False)
+                )
 
         trainer = make_trainer(mechanism=RejectAll())
         theta_before = trainer.model.get_flat_params()
@@ -129,27 +131,42 @@ class TestMechanismHook:
         class Recorder:
             def process_round(self, ctx):
                 return RoundDecision(
-                    accept={w: True for w in ctx.slices},
-                    records={"n_workers": len(ctx.slices)},
+                    accept=dict.fromkeys(ctx.batch.worker_ids.tolist(), True),
+                    records={"n_workers": ctx.batch.num_workers},
                 )
 
         trainer = make_trainer(mechanism=Recorder())
         rec = trainer.run_round(0)
         assert rec.mechanism_records == {"n_workers": 4}
 
-    def test_context_slices_recombine_to_full_gradient(self):
-        seen = {}
+    def test_context_batch_holds_exactly_the_delivered_gradients(self):
+        seen = []
 
         class Check:
             def process_round(self, ctx):
-                for wid, parts in ctx.slices.items():
-                    flat = np.concatenate([parts[s] for s in sorted(parts)])
-                    seen[wid] = np.allclose(flat, ctx.updates[wid].gradient)
-                return RoundDecision(accept={w: True for w in ctx.slices})
+                batch = ctx.batch
+                ids = batch.worker_ids.tolist()
+                assert ids == sorted(set(ctx.updates) - ctx.uncertain)
+                for i, wid in enumerate(ids):
+                    upd = ctx.updates[wid]
+                    assert np.array_equal(batch.gradients[i], upd.gradient)
+                    assert batch.sample_counts[i] == upd.num_samples
+                assert batch.server_ranks.tolist() == ctx.server_ranks
+                assert batch.gradients.shape[1] == batch.offsets[-1]
+                seen.append((len(ids), len(ctx.uncertain)))
+                return RoundDecision(accept=dict.fromkeys(ids, True))
 
-        trainer = make_trainer(server_ranks=[0, 1, 3], mechanism=Check())
-        trainer.run_round(0)
-        assert seen and all(seen.values())
+        trainer = make_trainer(
+            num_workers=8, server_ranks=[0, 1, 3], mechanism=Check(),
+            drop_prob=0.1, seed=1,
+        )
+        trainer.run(3)
+        # a failed server loses every slice addressed to it: the whole
+        # round is uncertain and the batch is empty
+        trainer.fail_node(3)
+        trainer.run(1)
+        assert any(delivered and lost for delivered, lost in seen[:3])
+        assert seen[3] == (0, 7)
 
 
 class TestAttackDamage:

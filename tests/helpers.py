@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.datasets import iid_partition, make_blobs, train_test_split
-from repro.fl import HonestWorker
+from repro.fl import HonestWorker, RoundBatch, RoundContext
 from repro.nn import build_logreg
 from repro.population import WorkerPopulation
 
@@ -44,6 +44,26 @@ class BlobDataFn:
             num_classes=N_CLASSES,
             seed=(self.seed, 0xDA7A, worker_id),
         )
+
+
+def round_context(round_idx, server_ranks, updates, uncertain=()):
+    """A mechanism's view of a synthetic round, as the trainer builds it.
+
+    ``updates`` maps worker id -> WorkerUpdate; every worker outside
+    ``uncertain`` delivered its full gradient into ``ctx.batch``.
+    """
+    uncertain = set(uncertain)
+    dim = next(iter(updates.values())).gradient.size
+    batch = RoundBatch.stack(
+        (u for w, u in updates.items() if w not in uncertain), server_ranks, dim
+    )
+    return RoundContext(
+        round_idx=round_idx,
+        server_ranks=list(server_ranks),
+        batch=batch,
+        updates=updates,
+        uncertain=uncertain,
+    )
 
 
 def roster(workers):

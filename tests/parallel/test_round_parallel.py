@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import make_mechanism
-from repro.fl.gradients import split_gradient
 from repro.fl.trainer import FederatedTrainer, RoundContext
 from repro.fl.workers import WorkerUpdate
 from repro.monitor.alerts import MonitorConfig
 from repro.monitor.rules import RuleEngine
 from repro.parallel import make_backend
 from repro.population import WorkerPopulation
-from tests.helpers import make_federation, model_fn
+from tests.helpers import make_federation, model_fn, round_context
 
 NUM_WORKERS = 24
 DIM = 256
@@ -23,22 +22,12 @@ def make_round(round_idx: int, seed: int = 0) -> RoundContext:
     rng = np.random.default_rng(seed * 7919 + round_idx)
     server_ranks = list(range(NUM_SERVERS))
     honest = rng.standard_normal(DIM)
-    updates, slices = {}, {}
+    updates = {}
     for wid in range(NUM_WORKERS):
         noise = rng.standard_normal(DIM)
         grad = honest + 0.3 * noise if wid % 5 else -2.0 * honest + noise
         updates[wid] = WorkerUpdate(worker_id=wid, gradient=grad, num_samples=100)
-        parts = split_gradient(grad, NUM_SERVERS)
-        slices[wid] = {srv: parts[j] for j, srv in enumerate(server_ranks)}
-    return RoundContext(
-        round_idx=round_idx,
-        global_params=np.zeros(DIM),
-        server_ranks=server_ranks,
-        slices=slices,
-        updates=updates,
-        uncertain=set(),
-        sample_counts={w: 100 for w in range(NUM_WORKERS)},
-    )
+    return round_context(round_idx, server_ranks, updates)
 
 
 def run_rounds(mech, rounds=3, seed=0):

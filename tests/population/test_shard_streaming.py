@@ -5,8 +5,7 @@ import pytest
 
 from repro.core import FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, FleetLocalEngine
-from repro.fl.gradients import slice_offsets
-from repro.core.engine import RoundBatch
+from repro.fl.gradients import RoundBatch, slice_offsets
 from repro.population.sharding import iter_row_shards
 
 from ..helpers import make_federation, model_fn, roster

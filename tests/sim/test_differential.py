@@ -47,9 +47,16 @@ def _assert_histories_identical(h_direct, h_sim):
 
 
 class TestNullScenarioBitwise:
-    def test_matches_direct_trainer_with_drops(self):
+    # the zero-delay scenario replays the direct exchange; a nonzero
+    # compute time sends the same slices through the event heap
+    @pytest.mark.parametrize(
+        "scenario",
+        [FaultScenario.none(), FaultScenario(base_compute_s=0.01)],
+        ids=["sync", "event"],
+    )
+    def test_matches_direct_trainer_with_drops(self, scenario):
         h1, t1 = _run_trainer(None)
-        h2, t2 = _run_trainer(FaultScenario.none())
+        h2, t2 = _run_trainer(scenario)
         _assert_histories_identical(h1, h2)
         # identical down to the raw parameter bytes and the wire accounting
         assert (
@@ -57,6 +64,7 @@ class TestNullScenarioBitwise:
             == t2.model.get_flat_params().tobytes()
         )
         assert t1.network.bytes_sent == t2.network.bytes_sent
+        assert len(t1.network.drop_log.drops) == 13  # drops really happen
         assert t1.network.drop_log.drops == t2.network.drop_log.drops
 
     def test_null_rounds_take_zero_virtual_time(self):
