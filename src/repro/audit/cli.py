@@ -18,9 +18,12 @@ lifetimes):
   reconstructed lineage against the trace's ledger commits and, with
   ``--dir``, the resumed service's reputation store, durable chain,
   and rolling history-digest chain. ``--strict`` fails when any check
-  was skipped (exit 1 on any failure).
+  was skipped (exit 1 on any failure). Undecodable trace lines (a
+  killed segment's torn tail) are dropped and reported as the skipped
+  ``trace-decodable`` check, so ``--strict`` refuses them.
 
-Exit codes: 0 ok, 1 failed checks, 2 usage/trace errors.
+Exit codes: 0 ok, 1 failed checks, 2 usage errors, an unreadable trace
+or no decodable events.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import argparse
 import json
 import sys
 
-from ..telemetry.sinks import read_trace
+from ..telemetry.sinks import load_trace
 from .explain import (
     explain_decision,
     explain_lines,
@@ -47,13 +50,6 @@ from .reconstruct import (
 from .verify import verify_service, verify_trace
 
 __all__ = ["main"]
-
-
-def _read_traces(paths: list[str]) -> list[dict]:
-    events: list[dict] = []
-    for path in paths:
-        events.extend(read_trace(path))
-    return events
 
 
 def _attacker_ids(args) -> set[int] | None:
@@ -174,6 +170,11 @@ def _cmd_fairness(args, events) -> int:
 
 def _cmd_verify(args, events) -> int:
     report = verify_trace(events)
+    if args.skipped_lines:
+        report.skip(
+            "trace-decodable",
+            f"{args.skipped_lines} undecodable line(s) skipped",
+        )
     if args.dir:
         verify_service(events, args.dir, report=report)
     else:
@@ -240,19 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    try:
-        events = _read_traces(args.traces)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(
-            f"trace is not valid JSONL ({exc.msg}); the file may be truncated",
-            file=sys.stderr,
-        )
-        return 2
+    events, args.skipped_lines = load_trace(*args.traces)
     if not events:
-        print("trace contains no events", file=sys.stderr)
         return 2
     try:
         return args.fn(args, events)

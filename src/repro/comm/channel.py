@@ -234,19 +234,22 @@ class Network:
     def _deliver(self, msg: Message) -> None:
         """Delivery event: the in-flight message lands in its queue."""
         self.in_flight -= 1
-        if msg.tag in self._dead_tags:
-            return  # round already closed; late arrival is discarded
-        self._queues[msg.tag][(msg.dst, msg.src)].append(msg)
+        dead = msg.tag in self._dead_tags
+        if not self.in_flight:
+            # nothing left in flight can carry a closed tag
+            self._dead_tags.clear()
+        if not dead:  # else the round already closed: discard the late arrival
+            self._queues[msg.tag][(msg.dst, msg.src)].append(msg)
 
     def cancel_tag(self, tag: str) -> None:
         """Close a tag: purge its queues and discard late arrivals.
 
         Round tags are unique (``slice:<t>``), so closing them when the
-        round ends keeps straggling deliveries from accumulating. Without
-        a latency model nothing is ever in flight, so no tag needs to be
-        remembered as dead.
+        round ends keeps straggling deliveries from accumulating. A tag is
+        remembered as dead only while messages are in flight, and
+        forgotten once the last one lands.
         """
-        if self.latency is not None:
+        if self.in_flight:
             self._dead_tags.add(tag)
         self._queues.pop(tag, None)
 

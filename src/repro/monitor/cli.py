@@ -16,7 +16,8 @@ fault-injection traces that *must* trip the monitor. ``--watch`` tails
 a growing trace and prints alerts as the producing run emits events.
 
 Exit codes: 0 clean (or alerts present with ``--expect-alerts``),
-1 alert gate failed, 2 unreadable/empty trace.
+1 alert gate failed, 2 unreadable trace or no decodable events
+(undecodable lines are skipped with a warning, in ``--watch`` too).
 """
 
 from __future__ import annotations
@@ -26,38 +27,13 @@ import json
 import sys
 import time
 
+from ..telemetry.sinks import decode_event, load_trace, report_decoded
 from .alerts import MonitorConfig
 from .monitor import scan_events
 from .recorder import FlightRecorder
 from .rules import RuleEngine
 
-__all__ = ["main", "read_trace_tolerant"]
-
-
-def read_trace_tolerant(path) -> tuple[list[dict], int]:
-    """Decode a JSONL trace line by line, counting undecodable lines.
-
-    Unlike :func:`repro.telemetry.read_trace` this never raises on a
-    truncated tail (a crashed producer's last line is routinely cut mid
-    record) — it returns every decodable event plus the bad-line count.
-    """
-    events: list[dict] = []
-    bad = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                bad += 1
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-            else:
-                bad += 1
-    return events, bad
+__all__ = ["main"]
 
 
 def _print_alert(alert, stream) -> None:
@@ -78,32 +54,36 @@ def _watch(path, config: MonitorConfig, poll_s: float,
         run_id=config.run_id,
     )
     alerts = []
-    buf = ""
+    decoded = skipped = 0
+
+    def feed(line: bytes) -> None:
+        nonlocal decoded, skipped
+        if not line.strip():
+            return
+        event = decode_event(line)
+        if event is None:
+            skipped += 1
+            return
+        decoded += 1
+        recorder.record(event)
+        fired = engine.process(event)
+        if fired:
+            alerts.extend(fired)
+            for a in fired:
+                _print_alert(a, sys.stderr)
+            recorder.dump("alert", alerts)
+
+    buf = b""
     last_data = time.monotonic()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         while True:
             chunk = fh.read()
             if chunk:
                 last_data = time.monotonic()
                 buf += chunk
-                *lines, buf = buf.split("\n")
+                *lines, buf = buf.split(b"\n")
                 for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if not isinstance(event, dict):
-                        continue
-                    recorder.record(event)
-                    fired = engine.process(event)
-                    if fired:
-                        alerts.extend(fired)
-                        for a in fired:
-                            _print_alert(a, sys.stderr)
-                        recorder.dump("alert", alerts)
+                    feed(line)
             else:
                 if (
                     idle_exit_s is not None
@@ -114,7 +94,10 @@ def _watch(path, config: MonitorConfig, poll_s: float,
                     time.sleep(poll_s)
                 except KeyboardInterrupt:
                     break
+    feed(buf)  # the trace has ended: its unterminated tail is its last line
     print(f"watch: {len(alerts)} alert(s)", file=sys.stderr)
+    if not report_decoded(path, decoded, skipped):
+        return 2
     return 1 if alerts and config.strict else 0
 
 
@@ -176,20 +159,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cannot read trace: {exc}", file=sys.stderr)
             return 2
 
-    try:
-        events, bad = read_trace_tolerant(args.trace)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 2
+    events, _ = load_trace(args.trace)
     if not events:
-        print(
-            f"trace {args.trace} contains no decodable events"
-            + (f" ({bad} undecodable line(s))" if bad else ""),
-            file=sys.stderr,
-        )
         return 2
-    if bad:
-        print(f"warning: skipped {bad} undecodable line(s)", file=sys.stderr)
 
     alerts = scan_events(events, config)
     if args.json:

@@ -19,8 +19,8 @@ positive deltas mean the *second* (new) trace is slower. With
 ``--fail-above P`` the diff exits 1 when the total self-time regression
 exceeds ``P`` percent — otherwise the diff is purely informational.
 
-Exit codes: 0 ok, 1 empty trace or failed ``--fail-above`` gate,
-2 unreadable trace file.
+Exit codes: 0 ok, 1 failed ``--fail-above`` gate, 2 unreadable trace
+or no decodable events (undecodable lines are skipped with a warning).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 
-from ..telemetry.sinks import read_trace
+from ..telemetry.sinks import load_trace
 from .aggregate import (
     aggregate_tree,
     build_span_tree,
@@ -41,21 +41,6 @@ from .aggregate import (
 from .perfetto import write_perfetto
 
 __all__ = ["main"]
-
-
-def _read(path) -> list[dict] | None:
-    """Events of ``path`` or None (message already printed, exit 2)."""
-    try:
-        return read_trace(path)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-    except json.JSONDecodeError as exc:
-        print(
-            f"trace {path} is not valid JSONL ({exc.msg}); the file may be "
-            f"truncated",
-            file=sys.stderr,
-        )
-    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,18 +93,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run_top(args) -> int:
-    events = _read(args.trace)
-    if events is None:
-        return 2
+    events, _ = load_trace(args.trace)
     if not events:
-        print(f"trace {args.trace} contains no events", file=sys.stderr)
-        return 1
+        return 2
     extra = []
     if args.resources:
-        res_events = _read(args.resources)
-        if res_events is None:
+        extra, _ = load_trace(args.resources)
+        if not extra:
             return 2
-        extra = res_events
     if args.perfetto:
         path = write_perfetto(args.perfetto, events + extra)
         print(f"[perfetto trace saved to {path}]", file=sys.stderr)
@@ -154,11 +135,11 @@ def _run_top(args) -> int:
 
 def _run_diff(args) -> int:
     old_path, new_path = args.diff
-    events_a = _read(old_path)
-    if events_a is None:
+    events_a, _ = load_trace(old_path)
+    if not events_a:
         return 2
-    events_b = _read(new_path)
-    if events_b is None:
+    events_b, _ = load_trace(new_path)
+    if not events_b:
         return 2
     diff = diff_traces(events_a, events_b)
     if args.json:

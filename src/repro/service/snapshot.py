@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from ..telemetry.core import TickClock
-from ..telemetry.sinks import encode_event
+from ..telemetry.sinks import decode_event, encode_event
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -163,9 +163,11 @@ def read_manifest(snap_dir: Path | str) -> dict:
     if not path.is_file():
         raise SnapshotError(f"{snap_dir} has no {MANIFEST_NAME}")
     try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = decode_event(path.read_bytes())
+    except OSError as exc:
         raise SnapshotError(f"unreadable manifest in {snap_dir}: {exc}") from exc
+    if manifest is None:
+        raise SnapshotError(f"{snap_dir}: {MANIFEST_NAME} is not a JSON object")
     version = manifest.get("format_version")
     if version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotError(
@@ -492,7 +494,6 @@ def _capture_network(net) -> dict:
         "messages_sent": net.messages_sent,
         "messages_delivered": net.messages_delivered,
         "drops": list(net.drop_log.drops),
-        "dead_tags": sorted(net._dead_tags),
     }
 
 
@@ -508,7 +509,8 @@ def _restore_network(net, state: dict) -> None:
     net.messages_sent = state["messages_sent"]
     net.messages_delivered = state["messages_delivered"]
     net.drop_log.drops = [tuple(d) for d in state["drops"]]
-    net._dead_tags = set(state["dead_tags"])
+    # Older snapshots also carry "dead_tags": ignored, since nothing is in
+    # flight at a snapshot and so no closed tag needs remembering.
 
 
 def _capture_sim(runner) -> dict | None:

@@ -38,6 +38,7 @@ from .sinks import (
     MetricsTextSink,
     decode_event,
     encode_event,
+    load_trace,
     read_trace,
 )
 from .summary import (
@@ -64,6 +65,7 @@ __all__ = [
     "encode_event",
     "decode_event",
     "read_trace",
+    "load_trace",
     "trace_summary",
     "render_summary",
     "worker_trajectory",

@@ -12,16 +12,17 @@ table (flagged workers, reward Gini, share entropy), the phase-time
 breakdown, last gauge values, and any embedded run manifests.
 ``--json`` prints the machine-readable :func:`trace_summary` block
 instead of tables.
+
+Exit codes (shared by every trace CLI): 0 ok, 2 unreadable trace or
+no decodable events. Undecodable lines are skipped with a warning.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 
-from .core import SCHEMA_VERSION
-from .sinks import read_trace
+from .sinks import load_trace
 from .summary import (
     render_summary,
     render_worker,
@@ -55,33 +56,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    try:
-        events = read_trace(args.trace)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        # Truncated tail (crashed producer) or not JSONL at all — either
-        # way a clear diagnostic beats a traceback.
-        print(
-            f"trace {args.trace} is not valid JSONL ({exc.msg}); "
-            f"the file may be truncated",
-            file=sys.stderr,
-        )
-        return 1
+    events, _ = load_trace(args.trace)
     if not events:
-        print(f"trace {args.trace} contains no events", file=sys.stderr)
-        return 1
-    bad = [
-        ev for ev in events
-        if ev.get("v") not in (None, SCHEMA_VERSION)
-    ]
-    if bad:
-        print(
-            f"warning: {len(bad)} events with unknown schema version "
-            f"(this reader understands v{SCHEMA_VERSION})",
-            file=sys.stderr,
-        )
+        return 2
     if args.worker is not None:
         if args.json:
             print(json.dumps(worker_trajectory(events, args.worker), indent=2))

@@ -22,6 +22,8 @@ __all__ = [
     "encode_event",
     "decode_event",
     "read_trace",
+    "load_trace",
+    "report_decoded",
     "MemorySink",
     "JsonlSink",
     "ConsoleSink",
@@ -53,20 +55,83 @@ def encode_event(event: dict) -> str:
     )
 
 
-def decode_event(line: str) -> dict:
-    """Parse one JSONL trace line back into an event dict."""
-    return json.loads(line)
+def decode_event(record: bytes | str) -> dict | None:
+    """One JSON record back into an event dict; None when it is rejected.
+
+    The only JSON decoder for recorded data: trace lines and snapshot
+    manifests both pass through here. A record is rejected when it is
+    not UTF-8, not JSON, or JSON that is not an object.
+    """
+    try:
+        if isinstance(record, bytes):
+            record = record.decode("utf-8")
+        event = json.loads(record)
+    except (ValueError, RecursionError):
+        return None
+    return event if isinstance(event, dict) else None
 
 
-def read_trace(path) -> list[dict]:
-    """All events of a JSONL trace file, in file order."""
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(decode_event(line))
-    return events
+def read_trace(*paths) -> tuple[list[dict], int]:
+    """Events of one or more JSONL traces, plus the skipped-line count.
+
+    Files are concatenated in order (a killed run's trace, then its
+    resume's). Blank lines are ignored; every other line that
+    :func:`decode_event` rejects (a torn tail, a flipped byte) is
+    skipped and counted. Raises ``OSError`` when a file cannot be read.
+    """
+    events: list[dict] = []
+    skipped = 0
+    for path in paths:
+        with open(path, "rb") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                event = decode_event(line)
+                if event is None:
+                    skipped += 1
+                else:
+                    events.append(event)
+    return events, skipped
+
+
+def report_decoded(label, decoded: int, skipped: int) -> bool:
+    """Print the trace CLIs' verdict on a decoded input; False means exit 2."""
+    if not decoded:
+        print(
+            f"trace {label} contains no decodable events "
+            f"({skipped} undecodable line(s))",
+            file=sys.stderr,
+        )
+        return False
+    if skipped:
+        print(f"warning: skipped {skipped} undecodable line(s)", file=sys.stderr)
+    return True
+
+
+def load_trace(*paths) -> tuple[list[dict], int]:
+    """A trace CLI's input: :func:`read_trace` plus the shared diagnostics.
+
+    Returns no events when the CLI must exit 2 (a file cannot be opened,
+    or nothing decodable remains); the reason is already on stderr.
+    """
+    from .core import SCHEMA_VERSION  # core imports this module
+
+    try:
+        events, skipped = read_trace(*paths)
+    except OSError as exc:
+        print(f"cannot read trace: {exc}", file=sys.stderr)
+        return [], 0
+    if not report_decoded(" ".join(map(str, paths)), len(events), skipped):
+        return [], skipped
+    unknown = sum(ev.get("v") not in (None, SCHEMA_VERSION) for ev in events)
+    if unknown:
+        print(
+            f"warning: {unknown} events with unknown schema version "
+            f"(this reader understands v{SCHEMA_VERSION})",
+            file=sys.stderr,
+        )
+    return events, skipped
 
 
 class MemorySink:

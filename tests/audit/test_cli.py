@@ -113,6 +113,22 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
 
+    def test_torn_segment_tail_is_a_skipped_check(self, split_traces,
+                                                  tmp_path, capsys):
+        # a killed segment's last line is cut mid-record; the resumed
+        # segment's first line must still decode on its own
+        a, b = split_traces
+        torn = tmp_path / "a-torn.jsonl"
+        torn.write_bytes(a.read_bytes() + b'{"v":1,"seq":')
+        rc = main(["verify", str(torn), str(b), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "warning: skipped 1 undecodable line(s)" in captured.err
+        report = json.loads(captured.out)
+        checks = {c["name"]: c["status"] for c in report["checks"]}
+        assert checks["trace-decodable"] == "skip"
+        assert report["ok"] is True and report["ok_strict"] is False
+
 
 class TestTraceErrors:
     def test_unreadable_trace(self, tmp_path, capsys):
@@ -125,11 +141,12 @@ class TestTraceErrors:
         path.write_text('{"type": "fifl.round", "data"')
         rc = main(["verify", str(path)])
         assert rc == 2
-        assert "not valid JSONL" in capsys.readouterr().err
+        assert "no decodable events (1 undecodable line(s))" in \
+            capsys.readouterr().err
 
     def test_empty_trace(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         rc = main(["verify", str(path)])
         assert rc == 2
-        assert "no events" in capsys.readouterr().err
+        assert "no decodable events" in capsys.readouterr().err

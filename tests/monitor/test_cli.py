@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.monitor.cli import main as monitor_cli
-from repro.monitor.cli import read_trace_tolerant
+from repro.telemetry import read_trace
 
 
 def write_trace(path, events):
@@ -48,15 +48,32 @@ class TestReadTraceTolerant:
         path.write_text(
             json.dumps(clean_event()) + "\n" + '{"v": 1, "seq": 2, "ty'
         )
-        events, bad = read_trace_tolerant(path)
+        events, bad = read_trace(path)
         assert len(events) == 1
         assert bad == 1
 
     def test_skips_non_object_lines(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text('[1, 2]\n' + json.dumps(clean_event()) + "\n\n")
-        events, bad = read_trace_tolerant(path)
+        events, bad = read_trace(path)
         assert len(events) == 1
+        assert bad == 1
+
+    def test_skips_invalid_utf8_lines(self, tmp_path):
+        path = tmp_path / "flipped.jsonl"
+        path.write_bytes(
+            b'{"v": 1, "n": "\xff"}\n' + json.dumps(clean_event()).encode()
+        )
+        events, bad = read_trace(path)
+        assert events == [clean_event()]
+        assert bad == 1
+
+    def test_concatenates_paths_in_order(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_trace(a, [clean_event(seq=1)])
+        b.write_text(json.dumps(clean_event(seq=2)) + "\n" + '{"cut')
+        events, bad = read_trace(a, b)
+        assert [e["seq"] for e in events] == [1, 2]
         assert bad == 1
 
 

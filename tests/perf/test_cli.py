@@ -44,13 +44,22 @@ class TestTopView:
         path = tmp_path / "broken.jsonl"
         path.write_text('{"type": "span", "name": "x"\n')
         assert main([str(path)]) == 2
-        assert "truncated" in capsys.readouterr().err
+        assert "no decodable events (1 undecodable line(s))" in \
+            capsys.readouterr().err
 
-    def test_empty_trace_exits_1(self, tmp_path, capsys):
+    def test_torn_tail_after_events_warns(self, trace_file, capsys):
+        with open(trace_file, "a") as fh:
+            fh.write('{"type": "span", "na')
+        assert main([str(trace_file)]) == 0
+        captured = capsys.readouterr()
+        assert "perf: 2 rounds" in captured.out
+        assert "warning: skipped 1 undecodable line(s)" in captured.err
+
+    def test_empty_trace_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert main([str(path)]) == 1
-        assert "no events" in capsys.readouterr().err
+        assert main([str(path)]) == 2
+        assert "no decodable events" in capsys.readouterr().err
 
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

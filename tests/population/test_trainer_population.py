@@ -7,6 +7,7 @@ from repro.core import FIFLConfig, FIFLMechanism
 from repro.experiments.common import AttackerSpec, FedExpConfig, run_federated
 from repro.fl import FederatedTrainer
 from repro.population import WorkerPopulation
+from repro.sim import FaultScenario, LatencyConfig
 from repro.telemetry import Telemetry
 
 from ..helpers import make_federation, model_fn
@@ -205,18 +206,29 @@ class TestReputationWriteback:
 
 class TestRoundTags:
     @pytest.mark.parametrize(
-        "cohort", [{}, {"cohort_size": 3, "sampler": "uniform"}],
-        ids=["roster", "cohort"],
+        "cohort",
+        [
+            {},
+            {"cohort_size": 3, "sampler": "uniform"},
+            {"scenario": FaultScenario(
+                latency=LatencyConfig(kind="uniform", a=0.01, b=0.05),
+                round_timeout_s=30.0,
+            )},
+        ],
+        ids=["roster", "cohort", "latency"],
     )
     def test_run_leaves_nothing_queued(self, cohort):
         pop, test = make_population(6)
         t = make_trainer(pop, test, drop_prob=0.1, **cohort)
         t.run(4, eval_every=4)
         net = t.network
+        if net.sim is not None:
+            net.sim.run()  # land the last round's late broadcasts
+        assert net.in_flight == 0
         for r in range(4):
             for wid in range(6):
                 for srv in t.server_ranks:
                     assert net.pending(srv, wid, f"slice:{r}") == 0
                     assert net.pending(wid, srv, f"global:{r}") == 0
-        # nothing was ever in flight, so no closed tag is remembered
+        # nothing is in flight, so no closed tag is remembered
         assert net._dead_tags == set()

@@ -115,8 +115,15 @@ class TestListing:
         bad = tmp_path / "snapshot-00000003"
         bad.mkdir()
         (bad / MANIFEST_NAME).write_text("{not json")
+        # ... nor may one that is not UTF-8, or JSON but not an object
+        for r, manifest in ((4, b"\xff\xfe{}"), (5, b"[1]")):
+            snap = write_snapshot(tmp_path, r, _blobs())
+            (snap / MANIFEST_NAME).write_bytes(manifest)
+            with pytest.raises(SnapshotError):
+                read_manifest(snap)
         snaps = list_snapshots(tmp_path)
         assert [p.name for p in snaps] == ["snapshot-00000001"]
+        assert latest_snapshot(tmp_path).name == "snapshot-00000001"
 
     def test_empty_or_absent_root(self, tmp_path):
         assert list_snapshots(tmp_path) == []

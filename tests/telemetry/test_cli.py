@@ -1,7 +1,8 @@
 """Regression tests: ``telemetry summarize`` degrades gracefully.
 
 A crashed producer routinely leaves an empty or mid-record-truncated
-trace behind; the CLI must exit 1 with a clear diagnostic instead of
+trace behind. The CLI skips undecodable lines with a warning, and exits
+2 with a clear diagnostic when nothing decodable remains, instead of
 throwing a traceback at the user.
 """
 
@@ -13,35 +14,40 @@ from repro.telemetry.cli import main as telemetry_cli
 
 
 class TestSummarizeDegradation:
-    def test_empty_trace_exits_one_without_traceback(self, tmp_path, capsys):
+    def test_empty_trace_exits_two_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert telemetry_cli(["summarize", str(path)]) == 1
+        assert telemetry_cli(["summarize", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "contains no events" in err
+        assert "contains no decodable events (0 undecodable line(s))" in err
         assert "Traceback" not in err
 
-    def test_truncated_trace_exits_one_with_diagnostic(self, tmp_path,
-                                                       capsys):
+    def test_truncated_trace_warns_and_summarizes(self, tmp_path, capsys):
         path = tmp_path / "cut.jsonl"
         good = {"v": 1, "seq": 1, "type": "fifl.round", "data": {"round": 0}}
         path.write_text(json.dumps(good) + "\n" + '{"v": 1, "se')
-        assert telemetry_cli(["summarize", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "not valid JSONL" in err
-        assert "truncated" in err
+        assert telemetry_cli(["summarize", str(path)]) == 0
+        assert "warning: skipped 1 undecodable line(s)" in \
+            capsys.readouterr().err
 
-    def test_garbage_file_exits_one(self, tmp_path, capsys):
+    def test_garbage_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "binary.jsonl"
         path.write_text("not json at all\x00\x01")
-        assert telemetry_cli(["summarize", str(path)]) == 1
-        assert "not valid JSONL" in capsys.readouterr().err
+        assert telemetry_cli(["summarize", str(path)]) == 2
+        assert "(1 undecodable line(s))" in capsys.readouterr().err
 
     def test_whitespace_only_trace_counts_as_empty(self, tmp_path, capsys):
         path = tmp_path / "blank.jsonl"
         path.write_text("\n\n\n")
-        assert telemetry_cli(["summarize", str(path)]) == 1
-        assert "contains no events" in capsys.readouterr().err
+        assert telemetry_cli(["summarize", str(path)]) == 2
+        assert "contains no decodable events" in capsys.readouterr().err
+
+    def test_unknown_schema_version_warns(self, tmp_path, capsys):
+        path = tmp_path / "future.jsonl"
+        path.write_text(json.dumps({"v": 99, "seq": 0, "type": "x"}) + "\n")
+        assert telemetry_cli(["summarize", str(path)]) == 0
+        assert "1 events with unknown schema version" in \
+            capsys.readouterr().err
 
 
 def fifl_round_line(t, *, rewards=None, reputations=None):

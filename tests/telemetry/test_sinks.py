@@ -69,7 +69,8 @@ class TestJsonlSink:
         tele.event("fifl.round", {"round": 0, "flagged": [3, 5]})
         tele.close()
 
-        from_file = read_trace(path)
+        from_file, skipped = read_trace(path)
+        assert skipped == 0
         in_memory = tele.events()
         # the file is the canonical encoding of exactly the same stream
         assert from_file == [

@@ -66,7 +66,8 @@ class TestTraceDeterminism:
     def test_trace_covers_the_whole_hierarchy(self, traces):
         from repro.telemetry import read_trace
 
-        events = read_trace(traces[0])
+        events, skipped = read_trace(traces[0])
+        assert skipped == 0
         names = {ev["name"] for ev in events if ev["type"] == "span"}
         # run -> round -> phase spans all present
         assert "trainer.run" in names
@@ -118,7 +119,8 @@ class TestFaultScenarioTraceDeterminism:
     def test_trace_carries_sim_round_events(self, fault_traces):
         from repro.telemetry import read_trace
 
-        events = read_trace(fault_traces[0])
+        events, skipped = read_trace(fault_traces[0])
+        assert skipped == 0
         sim_rounds = [ev for ev in events if ev["type"] == "sim.round"]
         assert sim_rounds, "simulated run emitted no sim.round events"
         assert all("duration_s" in ev["data"] for ev in sim_rounds)
@@ -148,5 +150,5 @@ class TestSummarizeCli:
         assert "trainer.round" in summary["spans"]
 
     def test_missing_trace_fails_cleanly(self, tmp_path, capsys):
-        assert telemetry_cli(["summarize", str(tmp_path / "no.jsonl")]) == 1
+        assert telemetry_cli(["summarize", str(tmp_path / "no.jsonl")]) == 2
         assert "cannot read trace" in capsys.readouterr().err
