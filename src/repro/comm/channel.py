@@ -3,9 +3,13 @@
 The paper's polycentric FL protocol moves gradient *slices* between
 workers and servers (S3.2 steps 1.3/1.4). We reproduce that protocol over
 an in-process network of tagged, FIFO send/recv links (mirroring how a
-multi-node deployment would be written with mpi4py), plus one
-synchronous round upload (:meth:`Network.exchange`), while adding three
-things the experiments need:
+multi-node deployment would be written with mpi4py). A round's traffic
+does not go message by message: :meth:`Network.send_many` sends a whole
+batch with one drop draw per lossy message from one ``rng.random(k)``
+call and one counter update per batch, and builds no :class:`Message`.
+On top of it sit the round's two collectives — the synchronous upload
+(:meth:`Network.exchange`) and the servers' broadcast
+(:meth:`Network.broadcast`). Three things the experiments need:
 
 * **failure injection** — each link can drop messages with a configured
   probability, links can be deterministically blocked (partitions,
@@ -18,8 +22,11 @@ things the experiments need:
 * **latency** — attached to a :class:`~repro.sim.Simulator` with a
   :class:`~repro.sim.latency.LatencyModel`, a sent message *arrives at a
   time* instead of appearing instantly: the send schedules a delivery
-  event on the simulator's virtual clock. Without a latency model the
-  legacy instantaneous path is taken unchanged (and makes no extra RNG
+  event on the simulator's virtual clock. An arrival lands in its
+  link's queue for :meth:`Network.recv`, or — when a collector has
+  claimed the tag with :meth:`Network.route` — is pushed straight into
+  that collector (the simulated round's server cluster). Without a
+  latency model the instantaneous path is taken (and makes no latency
   draws), which is what keeps zero-latency simulated runs bit-identical
   to direct ones.
 """
@@ -30,7 +37,7 @@ import sys
 import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -101,10 +108,11 @@ def _payload_nbytes(payload: Any) -> int:
 class Network:
     """A set of nodes exchanging tagged messages over lossy links.
 
-    Nodes are integer ranks ``0..num_nodes-1``. Messages are queued per
-    ``(dst, src, tag)`` so receives are deterministic FIFO per link+tag
-    (FIFO in *arrival* order: under a random latency model messages on
-    the same link may overtake each other, as on a real network).
+    Nodes are integer ranks ``0..num_nodes-1``. Queues are keyed
+    ``tag -> (dst, src)``, so receives are deterministic FIFO per
+    link+tag (FIFO in *arrival* order: under a random latency model
+    messages on the same link may overtake each other, as on a real
+    network) and closing a tag is one pop.
     """
 
     def __init__(
@@ -136,6 +144,8 @@ class Network:
         self._queues: dict[str, dict[tuple[int, int], deque[Message]]] = (
             defaultdict(lambda: defaultdict(deque))
         )
+        # tag -> collector that takes arrivals instead of the queues
+        self._routes: dict[str, Callable[[int, int, Any], None]] = {}
         self._dead_tags: set[str] = set()
         self.in_flight = 0
         self.drop_log = DropLog()
@@ -199,8 +209,8 @@ class Network:
         """Send one message; returns False if the link dropped it.
 
         With a latency model attached the message is scheduled to arrive
-        ``latency.sample(...)`` virtual seconds from now; otherwise it is
-        enqueued instantly. Drops are decided synchronously either way
+        ``latency.sample(...)`` virtual seconds from now; otherwise it
+        arrives instantly. Drops are decided synchronously either way
         (the simulator is omniscient: a sender learns about a drop at
         send time, which is what the bounded-retry process keys on).
         """
@@ -219,27 +229,142 @@ class Network:
             tele.count("comm.drops")
             return False
         nbytes = _payload_nbytes(payload)
-        msg = Message(src, dst, tag, payload, nbytes)
         self.bytes_sent[(src, dst)] += nbytes
         tele.count("comm.bytes_sent", nbytes)
         if self.latency is not None:
-            delay = float(self.latency.sample(self._lat_rng, src, dst, nbytes))
-            tele.observe("sim.latency", delay)
-            self.in_flight += 1
-            self.sim.schedule(delay, self._deliver, msg)
+            self._schedule(src, dst, tag, payload, nbytes)
         else:
-            self._queues[tag][(dst, src)].append(msg)
+            self._arrive(src, dst, tag, payload, nbytes)
         return True
 
-    def _deliver(self, msg: Message) -> None:
-        """Delivery event: the in-flight message lands in its queue."""
+    def send_many(
+        self,
+        src: Sequence[int],
+        dst: Sequence[int],
+        tag: str,
+        payloads: Sequence[Any],
+        nbytes: Sequence[int] | None = None,
+    ) -> np.ndarray:
+        """Send message ``k`` from ``src[k]`` to ``dst[k]``; returns the
+        ``(k,)`` mask of accepted messages.
+
+        Equal to ``[send(s, d, tag, p) for ...]`` draw for draw: the
+        messages that need a drop draw (lossy, not blocked) get theirs
+        from one ``rng.random`` call, which yields the same values as
+        that many scalar draws; ``drop_log`` grows in message order; with
+        a latency model each accepted message samples its latency and is
+        scheduled in message order. Unlike :meth:`send` it builds no
+        :class:`Message` on the way and bumps every counter once per
+        batch.
+
+        Over instantaneous links an accepted message arrives at once at
+        its tag's collector (see :meth:`route`); with none it is *not*
+        queued for :meth:`recv` — the caller consumes it (:meth:`exchange`
+        receives it, a :meth:`broadcast` has no receiver). ``nbytes``
+        gives the payload sizes when the caller knows them. Every length
+        and rank is checked before the first draw, so a rejected call
+        leaves the network unchanged.
+        """
+        k = len(src)
+        if len(dst) != k or len(payloads) != k:
+            raise ValueError(
+                f"send_many needs equal-length src/dst/payloads, got "
+                f"{k}, {len(dst)} and {len(payloads)}"
+            )
+        if nbytes is None:
+            nbytes = [_payload_nbytes(p) for p in payloads]
+        elif len(nbytes) != k:
+            raise ValueError(f"nbytes has {len(nbytes)} entries for {k} messages")
+        if not k:
+            return np.zeros(0, dtype=bool)
+        for rank in (min(src), max(src), min(dst), max(dst)):
+            self._check_rank(rank)
+
+        rng = self._rng
+        if self._blocked or self._failed or self._link_drop:
+            # None marks a blocked link: dropped without a draw
+            blocked = self._blocked
+            probs = [
+                None if link in blocked else self._drop_prob(*link)
+                for link in zip(src, dst)
+            ]
+            lossy = sum(1 for p in probs if p)
+            draws = iter(rng.random(lossy).tolist() if lossy else ())
+            accepted = [p is not None and (not p or next(draws) >= p) for p in probs]
+        elif self.default_drop_prob > 0.0:
+            accepted = (rng.random(k) >= self.default_drop_prob).tolist()
+        else:
+            accepted = [True] * k
+
+        tele = get_telemetry()
+        self.messages_sent += k
+        tele.count("comm.messages_sent", k)
+        drops = [(s, d, tag) for s, d, ok in zip(src, dst, accepted) if not ok]
+        if drops:
+            self.drop_log.drops.extend(drops)
+            tele.count("comm.drops", len(drops))
+        if len(drops) < k:
+            bytes_sent = self.bytes_sent
+            total = 0
+            for s, d, nb, ok in zip(src, dst, nbytes, accepted):
+                if ok:
+                    bytes_sent[(s, d)] += nb
+                    total += nb
+            tele.count("comm.bytes_sent", total)
+            if self.latency is not None:
+                arrive = self._schedule
+            elif tag in self._routes:
+                arrive = self._arrive
+            else:
+                arrive = None
+            if arrive is not None:
+                for s, d, payload, nb, ok in zip(src, dst, payloads, nbytes, accepted):
+                    if ok:
+                        arrive(s, d, tag, payload, nb)
+        return np.array(accepted, dtype=bool)
+
+    def _schedule(self, src: int, dst: int, tag: str, payload, nbytes: int):
+        """Sample one accepted message's latency and schedule its arrival."""
+        delay = float(self.latency.sample(self._lat_rng, src, dst, nbytes))
+        get_telemetry().observe("sim.latency", delay)
+        self.in_flight += 1
+        self.sim.schedule(delay, self._deliver, src, dst, tag, payload, nbytes)
+
+    def _deliver(self, src: int, dst: int, tag: str, payload, nbytes: int) -> None:
+        """Delivery event: the in-flight message arrives."""
         self.in_flight -= 1
-        dead = msg.tag in self._dead_tags
+        dead = tag in self._dead_tags
         if not self.in_flight:
             # nothing left in flight can carry a closed tag
             self._dead_tags.clear()
         if not dead:  # else the round already closed: discard the late arrival
-            self._queues[msg.tag][(msg.dst, msg.src)].append(msg)
+            self._arrive(src, dst, tag, payload, nbytes)
+
+    def _arrive(self, src: int, dst: int, tag: str, payload, nbytes: int) -> None:
+        """Hand an arrival to its tag's collector, else to its link queue."""
+        collector = self._routes.get(tag)
+        if collector is None:
+            self._queues[tag][(dst, src)].append(
+                Message(src, dst, tag, payload, nbytes)
+            )
+            return
+        self.messages_delivered += 1
+        get_telemetry().count("comm.messages_delivered")
+        collector(src, dst, payload)
+
+    def route(self, tag: str, collector: Callable[[int, int, Any], None] | None):
+        """Push every later arrival on ``tag`` into ``collector(src, dst,
+        payload)`` instead of its link queue; ``None`` ends the route.
+
+        An arrival taken by a collector counts as delivered, exactly as
+        if it had been :meth:`recv`'d. The simulated round's server
+        cluster routes its uplink tag for the round's duration, so
+        collection costs O(arrivals) instead of a poll of every link.
+        """
+        if collector is None:
+            self._routes.pop(tag, None)
+        else:
+            self._routes[tag] = collector
 
     def cancel_tag(self, tag: str) -> None:
         """Close a tag: purge its queues and discard late arrivals.
@@ -270,6 +395,8 @@ class Network:
         links = self._queues.get(tag)
         return len(links.get((dst, src), ())) if links else 0
 
+    # -- round collectives ----------------------------------------------------
+
     def exchange(
         self, sends: list[tuple[int, list[Any]]], dsts: list[int], tag: str
     ) -> np.ndarray:
@@ -277,21 +404,59 @@ class Network:
 
         ``sends`` holds ``(src, parts)`` pairs: part ``j`` travels to
         ``dsts[j]`` as the payload ``(j, parts[j])`` and is received at
-        once. Sends go sender by sender, destination by destination, so
-        the drop draws come in the same order as the per-message upload
-        actors of the event-driven path. Entry ``[i, j]`` of the returned
-        ``(len(sends), len(dsts))`` mask is True when part ``j`` of
-        sender ``i`` arrived.
+        once. Messages go sender by sender, destination by destination,
+        so the drop draws come in the same order as the per-message
+        upload actors of the event-driven path. Entry ``[i, j]`` of the
+        returned ``(len(sends), len(dsts))`` mask is True when part ``j``
+        of sender ``i`` arrived.
         """
         if self.latency is not None:
             raise RuntimeError("exchange() needs instantaneous links (no latency)")
-        mask = np.zeros((len(sends), len(dsts)), dtype=bool)
-        for i, (src, parts) in enumerate(sends):
-            for j, dst in enumerate(dsts):
-                if self.send(src, dst, tag, (j, parts[j])):
-                    self.recv(dst, src, tag)
-                    mask[i, j] = True
-        return mask
+        m = len(dsts)
+        for src, parts in sends:
+            if len(parts) != m:
+                raise ValueError(
+                    f"sender {src} has {len(parts)} parts for {m} destinations"
+                )
+        payloads = [(j, part) for _, parts in sends for j, part in enumerate(parts)]
+        # the 8 B slice index framing each part, plus the part itself
+        # (gradient slices are arrays: read their size directly)
+        nbytes = [
+            8 + (part.nbytes if type(part) is np.ndarray else _payload_nbytes(part))
+            for _, part in payloads
+        ]
+        accepted = self.send_many(
+            [src for src, _ in sends for _ in range(m)],
+            list(dsts) * len(sends),
+            tag,
+            payloads,
+            nbytes,
+        )
+        delivered = int(np.count_nonzero(accepted))
+        if delivered:
+            self.messages_delivered += delivered
+            get_telemetry().count("comm.messages_delivered", delivered)
+        return accepted.reshape(len(sends), m)
+
+    def broadcast(
+        self, srcs: list[int], payloads: list[Any], dsts: list[int], tag: str
+    ) -> None:
+        """Send ``payloads[j]`` from ``srcs[j]`` to every rank of ``dsts``
+        but itself, source by source, destination by destination.
+
+        Nobody receives a broadcast over instantaneous links; with a
+        latency model every accepted message is still scheduled, so its
+        arrival events move the virtual clock as the per-message loop's
+        did.
+        """
+        src_ranks, dst_ranks, msgs, sizes = [], [], [], []
+        for src, payload in zip(srcs, payloads):
+            others = [dst for dst in dsts if dst != src]
+            src_ranks += [src] * len(others)
+            dst_ranks += others
+            msgs += [payload] * len(others)
+            sizes += [_payload_nbytes(payload)] * len(others)
+        self.send_many(src_ranks, dst_ranks, tag, msgs, sizes)
 
     # -- accounting ----------------------------------------------------------
 

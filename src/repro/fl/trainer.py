@@ -549,13 +549,11 @@ class FederatedTrainer:
             # communication load is what S3.2's scalability argument is
             # about).
             tag = f"global:{round_idx}"
-            dests = [w.worker_id for w in roster]
-            for j, srv in enumerate(self.server_ranks):
-                for wid in dests:
-                    if wid != srv:
-                        self.network.send(srv, wid, tag, agg_slices[j])
-            # Nobody receives the broadcast: close its tag so it is not
-            # left queued (or in flight) — O(N·M) messages per round.
+            self.network.broadcast(
+                self.server_ranks, agg_slices, [w.worker_id for w in roster], tag
+            )
+            # Nobody receives the broadcast: close its tag so its
+            # O(N·M) messages are not left in flight for anyone.
             self.network.cancel_tag(tag)
             # FedAvg-BN: average accepted workers' running statistics into
             # the global model so evaluation normalizes with live stats.

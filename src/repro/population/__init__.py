@@ -21,7 +21,6 @@ from .sampler import (
     ReputationWeightedSampler,
     UniformSampler,
     make_sampler,
-    reputation_weighted_reference,
 )
 from .sharding import iter_row_shards
 from .store import ReputationStore
@@ -33,7 +32,6 @@ __all__ = [
     "UniformSampler",
     "ReputationWeightedSampler",
     "AvailabilityAwareSampler",
-    "reputation_weighted_reference",
     "make_sampler",
     "SAMPLER_NAMES",
     "iter_row_shards",

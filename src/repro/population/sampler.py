@@ -30,7 +30,6 @@ __all__ = [
     "UniformSampler",
     "ReputationWeightedSampler",
     "AvailabilityAwareSampler",
-    "reputation_weighted_reference",
     "make_sampler",
     "SAMPLER_NAMES",
 ]
@@ -131,8 +130,8 @@ class ReputationWeightedSampler:
     computed chunk-by-chunk over the population's reputation store with
     a running top-k, so the full weight vector never materializes. The
     per-chunk rng is derived from ``(seed, round_idx, chunk_start)``,
-    which is what makes the scalar reference
-    (:func:`reputation_weighted_reference`) replay the identical draws.
+    which is what lets a scalar reference replay the identical draws
+    (the differential oracle in ``tests/population/test_sampler.py``).
     """
 
     name = "reputation"
@@ -173,42 +172,6 @@ class ReputationWeightedSampler:
             order = np.lexsort((all_ids, -all_keys))[:k]
             best_ids, best_keys = all_ids[order], all_keys[order]
         return _with_required(req, best_ids)
-
-
-def reputation_weighted_reference(
-    seed: int,
-    round_idx: int,
-    population,
-    cohort_size: int,
-    required=(),
-    floor: float = 0.05,
-) -> np.ndarray:
-    """Per-worker Python-loop reference for the weighted sampler.
-
-    Replays the identical per-chunk uniform draws, computes every key
-    with scalar ``math``-level arithmetic, and sorts the full key list —
-    O(n) memory, kept only as the differential oracle for the streamed
-    top-k implementation.
-    """
-    n = population.size
-    req = _required_array(required, n)
-    k = min(cohort_size, n) - req.size
-    if k <= 0:
-        return req
-    req_set = set(int(r) for r in req)
-    keyed: list[tuple[float, int]] = []
-    for start, reps in population.reputation_store.iter_chunks():
-        rng = _round_rng(_SALT_WEIGHTED, seed, round_idx, start)
-        u = rng.random(len(reps))
-        for i in range(len(reps)):
-            wid = start + i
-            if wid in req_set:
-                continue
-            w = floor + max(float(reps[i]), 0.0)
-            keyed.append((float(u[i]) ** (1.0 / w), wid))
-    keyed.sort(key=lambda kv: (-kv[0], kv[1]))
-    extras = np.asarray([wid for _, wid in keyed[:k]], dtype=np.int64)
-    return _with_required(req, extras)
 
 
 class AvailabilityAwareSampler:

@@ -11,16 +11,19 @@ and drives one communication round on the virtual clock:
    fires at ``t0 + compute_time`` and sends its gradient slices; a
    dropped send is retried up to ``max_retries`` times with exponential
    backoff; each successful send arrives after its sampled latency;
-3. **collection** — the server cluster drains arrivals in event order
-   and closes the round when every slice has resolved (delivered or
-   abandoned) or at the deadline ``t0 + round_timeout_s``, whichever
-   comes first. The result is the same ``(workers, servers)`` delivery
-   mask the direct path gets from :meth:`~repro.comm.Network.exchange`;
-   the trainer turns it into the round's
-   :class:`~repro.fl.gradients.RoundBatch`. Late or missing slices make
-   that worker's round an *uncertain event* — exactly the reputation
-   path instantaneous drops already take (S4.2), so SLM reputation and
-   rewards respond to realistic failures with no mechanism changes.
+3. **collection** — the round routes its uplink tag to a collector
+   (:meth:`~repro.comm.Network.route`): every slice that lands is pushed
+   into the round's ``(workers, servers)`` delivery mask, and the worker's
+   resolve time becomes its arrival time. The server cluster runs event
+   batches until every slice has resolved (delivered or abandoned) or
+   the next event lies past the deadline ``t0 + round_timeout_s``. The
+   mask is the same one the direct path gets from
+   :meth:`~repro.comm.Network.exchange`; the trainer turns it into the
+   round's :class:`~repro.fl.gradients.RoundBatch`. Late or missing
+   slices make that worker's round an *uncertain event* — exactly the
+   reputation path instantaneous drops already take (S4.2), so SLM
+   reputation and rewards respond to realistic failures with no
+   mechanism changes.
 
 A round with no latency, retries or compute delay needs no events: it
 runs the direct path's own synchronous exchange, so the zero-fault
@@ -54,13 +57,27 @@ _LATENCY_EDGES = (
 
 @dataclass
 class _RoundState:
-    """Mutable per-round collection state shared with upload actors."""
+    """Per-round collection state shared with upload actors.
+
+    ``delivered`` and ``abandoned`` are indexed ``[worker rank, slice]``;
+    ``resolved`` counts the slices that are one or the other.
+    """
 
     tag: str
+    sim: Simulator
+    delivered: np.ndarray
+    abandoned: np.ndarray
     closed: bool = False
     retries: int = 0
-    #: slices that will never arrive (drop budget exhausted)
-    abandoned: set[tuple[int, int]] = field(default_factory=set)
+    resolved: int = 0
+    #: worker rank -> virtual time its last slice arrived
+    resolve_at: dict[int, float] = field(default_factory=dict)
+
+    def arrive(self, src: int, dst: int, payload) -> None:
+        """Collector hook: one slice, framed ``(j, part)``, landed."""
+        self.delivered[src, payload[0]] = True
+        self.resolve_at[src] = self.sim.now
+        self.resolved += 1
 
 
 @dataclass(frozen=True)
@@ -151,19 +168,21 @@ class SimRoundRunner:
         """Actor: send every slice, retrying dropped sends with backoff."""
         net = self.trainer.network
         scenario = self.scenario
-        pending = list(enumerate(servers))
+        pending = list(range(len(servers)))
         attempt = 0
         while True:
-            failed = [
-                (j, srv)
-                for j, srv in pending
-                if not net.send(wid, srv, state.tag, (j, parts[j]))
-            ]
+            accepted = net.send_many(
+                [wid] * len(pending),
+                [servers[j] for j in pending],
+                state.tag,
+                [(j, parts[j]) for j in pending],
+            )
+            failed = [j for j, ok in zip(pending, accepted.tolist()) if not ok]
             if not failed:
                 return
             if attempt >= scenario.max_retries:
-                for _, srv in failed:
-                    state.abandoned.add((wid, srv))
+                state.abandoned[wid, failed] = True
+                state.resolved += len(failed)
                 return
             yield scenario.retry_delay(attempt)
             attempt += 1
@@ -188,10 +207,11 @@ class SimRoundRunner:
         """
         sim = self.sim
         trainer = self.trainer
+        net = trainer.network
         scenario = self.scenario
         servers = list(trainer.server_ranks)
         t0 = sim.now
-        state = _RoundState(tag=f"slice:{round_idx}")
+        tag = f"slice:{round_idx}"
         deadline = (
             t0 + scenario.round_timeout_s
             if scenario.round_timeout_s is not None
@@ -205,61 +225,60 @@ class SimRoundRunner:
         # benchmarks/bench_sim.py for the budget this keeps).
         if (
             scenario.max_retries == 0
-            and trainer.network.latency is None
+            and net.latency is None
             and sim.idle()
             and all(v == 0.0 for v in plan.compute_s.values())
         ):
-            return self._collect_fast(sends, state.tag, plan)
+            return self._collect_fast(sends, tag, plan)
 
-        worker_ids = [wid for wid, _ in sends]
+        shape = (trainer.num_workers, len(servers))
+        state = _RoundState(
+            tag=tag,
+            sim=sim,
+            delivered=np.zeros(shape, dtype=bool),
+            abandoned=np.zeros(shape, dtype=bool),
+        )
         for wid, parts in sends:
             sim.spawn(
                 self._upload_proc(wid, parts, servers, state),
                 delay=plan.compute_s.get(wid, 0.0),
             )
 
-        row = {wid: i for i, wid in enumerate(worker_ids)}
-        col = {srv: j for j, srv in enumerate(servers)}
-        outstanding = {(wid, srv) for wid in worker_ids for srv in servers}
-        mask = np.zeros((len(worker_ids), len(servers)), dtype=bool)
-        resolve_at: dict[int, float] = {}
-        while outstanding:
-            outstanding -= state.abandoned
-            if not outstanding:
-                break
-            t_next = sim.peek()
-            if t_next is None:
-                break  # nothing in flight: the rest will never arrive
-            if deadline is not None and t_next > deadline:
-                break  # deadline cut: whatever is left is late
-            sim.run_batch()
-            for wid, srv in sorted(outstanding):
-                msg = trainer.network.recv(srv, wid, state.tag)
-                if msg is not None:
-                    mask[row[wid], col[srv]] = True
-                    resolve_at[wid] = sim.now
-                    outstanding.discard((wid, srv))
-
-        outstanding -= state.abandoned
-        late_pairs = sorted(outstanding)
+        # Arrivals push themselves into the state; the cluster only runs
+        # event batches until every slice resolved or the deadline cuts.
+        total = len(sends) * len(servers)
+        net.route(tag, state.arrive)
+        try:
+            while state.resolved < total:
+                t_next = sim.peek()
+                if t_next is None:
+                    break  # nothing in flight: the rest will never arrive
+                if deadline is not None and t_next > deadline:
+                    break  # deadline cut: whatever is left is late
+                sim.run_batch()
+        finally:
+            net.route(tag, None)
         state.closed = True
-        if deadline is not None and late_pairs:
+
+        worker_ids = [wid for wid, _ in sends]
+        mask = state.delivered[worker_ids]
+        late = ~(mask | state.abandoned[worker_ids]).all(axis=1)
+        if deadline is not None and late.any():
             sim.advance_to(deadline)
         duration = sim.now - t0
         uncertain = [
             wid for wid, ok in zip(worker_ids, mask.all(axis=1)) if not ok
         ]
 
-        late_workers = sorted({wid for wid, _ in late_pairs})
         sim_info = {
             "t_start_s": t0,
             "duration_s": duration,
             "stragglers": list(plan.stragglers),
             "offline": sorted(plan.offline),
             "retries": state.retries,
-            "late": late_workers,
+            "late": sorted(wid for wid, cut in zip(worker_ids, late) if cut),
             "worker_time_s": {
-                wid: resolve_at[wid] - t0 for wid in sorted(resolve_at)
+                wid: state.resolve_at[wid] - t0 for wid in sorted(state.resolve_at)
             },
         }
         self._emit_round_telemetry(round_idx, sim_info, uncertain)

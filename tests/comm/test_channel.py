@@ -149,6 +149,43 @@ class TestExchange:
         with pytest.raises(RuntimeError):
             net.exchange([(1, [np.zeros(1)])], [0], "t")
 
+    def test_rejected_call_leaves_network_unchanged(self):
+        """Lengths and ranks are checked before the first drop draw."""
+        tele = Telemetry()
+        previous = set_telemetry(tele)
+        try:
+            net = Network(5, drop_prob=0.3, seed=4)
+            net.exchange([(w, [np.zeros(2), np.ones(3)]) for w in (2, 3)], [0, 1], "a")
+
+            def state():
+                return (
+                    net._rng.bit_generator.state,
+                    tele.snapshot()["counters"],
+                    dict(net.bytes_sent),
+                    list(net.drop_log.drops),
+                    net.messages_sent,
+                    net.messages_delivered,
+                )
+
+            before = state()
+            good = (2, [np.zeros(2), np.ones(3)])
+            bad_calls = [
+                ([good, (3, [np.zeros(2)])], [0, 1]),  # short parts, 2nd sender
+                ([good, (3, [np.zeros(2)] * 3)], [0, 1]),  # long parts
+                ([good, (7, [np.zeros(2), np.ones(3)])], [0, 1]),  # bad src
+                ([good], [0, 5]),  # bad dst
+            ]
+            for sends, dsts in bad_calls:
+                with pytest.raises(ValueError):
+                    net.exchange(sends, dsts, "b")
+            with pytest.raises(ValueError):
+                net.send_many([2, 3], [0], "b", [1, 2])
+            with pytest.raises(ValueError):
+                net.send_many([2], [0], "b", [1], nbytes=[8, 8])
+            assert state() == before
+        finally:
+            set_telemetry(previous)
+
 
 class TestAccounting:
     def test_array_bytes_counted(self):

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import Network
+from repro.sim import Simulator
+from repro.sim.latency import ConstantLatency, PerLinkLatency, UniformLatency
+from repro.telemetry import Telemetry, set_telemetry
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,3 +125,113 @@ def test_per_link_tag_fifo_under_interleaving(lanes, seed):
         while (msg := net.recv(3, src, tag)) is not None:
             got.append(msg.payload)
         assert got == expected
+
+
+_PROBS = st.one_of(st.just(0.0), st.floats(0.05, 0.95), st.just(1.0))
+
+
+@st.composite
+def _batches(draw):
+    """A network configuration plus one batch of messages over it."""
+    n = draw(st.integers(2, 6))
+    rank = st.integers(0, n - 1)
+    link = st.tuples(rank, rank)
+    return {
+        "n": n,
+        "default_p": draw(_PROBS),
+        "seed": draw(st.integers(0, 2**16)),
+        "blocked": draw(st.sets(link, max_size=6)),
+        "failed": draw(st.sets(rank, max_size=2)),
+        "overrides": draw(st.dictionaries(link, _PROBS, max_size=4)),
+        "messages": draw(
+            st.lists(st.tuples(rank, rank, st.integers(0, 12)), max_size=30)
+        ),
+        "latency": draw(st.booleans()),
+        "routed": draw(st.booleans()),
+        "sized": draw(st.booleans()),
+    }
+
+
+def _network(cfg):
+    sim = Simulator(seed=0) if cfg["latency"] else None
+    latency = (
+        PerLinkLatency(
+            UniformLatency(0.001, 0.01, per_byte_s=1e-5),
+            {(0, 1): ConstantLatency(0.002)},
+        )
+        if cfg["latency"]
+        else None
+    )
+    net = Network(
+        cfg["n"], drop_prob=cfg["default_p"], seed=cfg["seed"],
+        latency=latency, sim=sim,
+    )
+    net.set_blocked_links(set(cfg["blocked"]))
+    for rank in cfg["failed"]:
+        net.fail_node(rank)
+    for (src, dst), p in cfg["overrides"].items():
+        net.set_link_drop_prob(src, dst, p)
+    arrivals = []
+    if cfg["routed"]:
+        net.route(
+            "t",
+            lambda src, dst, payload: arrivals.append(
+                (sim.now if sim else 0.0, src, dst, payload[0])
+            ),
+        )
+    return net, arrivals
+
+
+def _observed(cfg, send_all):
+    """Run one batch through ``send_all`` on a fresh network + hub."""
+    tele = Telemetry()
+    previous = set_telemetry(tele)
+    try:
+        net, arrivals = _network(cfg)
+        accepted = send_all(net)
+        if net.sim is not None:
+            net.sim.run()
+    finally:
+        set_telemetry(previous)
+    return {
+        "accepted": [bool(a) for a in accepted],
+        "drops": list(net.drop_log.drops),
+        "bytes_sent": dict(net.bytes_sent),
+        "messages_sent": net.messages_sent,
+        "messages_delivered": net.messages_delivered,
+        "rng": net._rng.bit_generator.state,
+        "lat_rng": net._lat_rng.bit_generator.state,
+        "arrivals": arrivals,
+        "in_flight": net.in_flight,
+        "counters": tele.snapshot()["counters"],
+        "latency_hist": tele.metrics_snapshot()["histograms"].get("sim.latency"),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_batches())
+def test_send_many_equals_a_loop_of_sends_draw_for_draw(cfg):
+    """The batched primitive makes exactly the per-message loop's drop
+    draws, drop_log entries, byte accounting, counters, latency draws and
+    (routed) arrivals — blocked links, failed nodes, overrides and
+    p in {0, (0, 1), 1} alike."""
+    msgs = cfg["messages"]
+    payloads = [(k, np.zeros(size)) for k, (_, _, size) in enumerate(msgs)]
+
+    def loop(net):
+        return [
+            net.send(src, dst, "t", payload)
+            for (src, dst, _), payload in zip(msgs, payloads)
+        ]
+
+    def batched(net):
+        nbytes = [8 + 8 * size for _, _, size in msgs] if cfg["sized"] else None
+        return net.send_many(
+            [src for src, _, _ in msgs],
+            [dst for _, dst, _ in msgs],
+            "t",
+            payloads,
+            nbytes,
+        ).tolist()
+
+    assert _observed(cfg, batched) == _observed(cfg, loop)

@@ -13,8 +13,49 @@ from repro.population import (
     UniformSampler,
     WorkerPopulation,
     make_sampler,
-    reputation_weighted_reference,
 )
+from repro.population.sampler import (
+    _SALT_WEIGHTED,
+    _required_array,
+    _round_rng,
+    _with_required,
+)
+
+
+def reputation_weighted_reference(
+    seed: int,
+    round_idx: int,
+    population,
+    cohort_size: int,
+    required=(),
+    floor: float = 0.05,
+) -> np.ndarray:
+    """Per-worker Python-loop reference for the weighted sampler.
+
+    Replays the identical per-chunk uniform draws, computes every key
+    with scalar ``math``-level arithmetic, and sorts the full key list —
+    O(n) memory, the differential oracle for the streamed top-k
+    implementation.
+    """
+    n = population.size
+    req = _required_array(required, n)
+    k = min(cohort_size, n) - req.size
+    if k <= 0:
+        return req
+    req_set = set(int(r) for r in req)
+    keyed: list[tuple[float, int]] = []
+    for start, reps in population.reputation_store.iter_chunks():
+        rng = _round_rng(_SALT_WEIGHTED, seed, round_idx, start)
+        u = rng.random(len(reps))
+        for i in range(len(reps)):
+            wid = start + i
+            if wid in req_set:
+                continue
+            w = floor + max(float(reps[i]), 0.0)
+            keyed.append((float(u[i]) ** (1.0 / w), wid))
+    keyed.sort(key=lambda kv: (-kv[0], kv[1]))
+    extras = np.asarray([wid for _, wid in keyed[:k]], dtype=np.int64)
+    return _with_required(req, extras)
 
 
 def make_population(size=1000, **kwargs):
