@@ -9,7 +9,10 @@ batch with one drop draw per lossy message from one ``rng.random(k)``
 call and one counter update per batch, and builds no :class:`Message`.
 On top of it sit the round's two collectives — the synchronous upload
 (:meth:`Network.exchange`) and the servers' broadcast
-(:meth:`Network.broadcast`). Three things the experiments need:
+(:meth:`Network.broadcast`). A round message is a slice index plus the
+wire size its caller states: nothing reads a slice off the wire, so the
+substrate models only bytes, drops and latency. Three things the
+experiments need:
 
 * **failure injection** — each link can drop messages with a configured
   probability, links can be deterministically blocked (partitions,
@@ -398,65 +401,60 @@ class Network:
     # -- round collectives ----------------------------------------------------
 
     def exchange(
-        self, sends: list[tuple[int, list[Any]]], dsts: list[int], tag: str
+        self, srcs: list[int], dsts: list[int], tag: str, part_nbytes: list[int]
     ) -> np.ndarray:
         """Synchronous zero-latency upload; returns the delivery mask.
 
-        ``sends`` holds ``(src, parts)`` pairs: part ``j`` travels to
-        ``dsts[j]`` as the payload ``(j, parts[j])`` and is received at
-        once. Messages go sender by sender, destination by destination,
-        so the drop draws come in the same order as the per-message
-        upload actors of the event-driven path. Entry ``[i, j]`` of the
-        returned ``(len(sends), len(dsts))`` mask is True when part ``j``
-        of sender ``i`` arrived.
+        Every rank of ``srcs`` sends slice ``j`` to ``dsts[j]``: a message
+        whose payload is the slice index ``j`` and whose wire size is
+        ``part_nbytes[j]``, received at once (or handed to the tag's
+        collector). Messages go sender by sender, destination by
+        destination, so the drop draws come in the same order as the
+        per-message upload actors of the event-driven path. Entry
+        ``[i, j]`` of the returned ``(len(srcs), len(dsts))`` mask is True
+        when slice ``j`` of sender ``i`` arrived.
         """
         if self.latency is not None:
             raise RuntimeError("exchange() needs instantaneous links (no latency)")
-        m = len(dsts)
-        for src, parts in sends:
-            if len(parts) != m:
-                raise ValueError(
-                    f"sender {src} has {len(parts)} parts for {m} destinations"
-                )
-        payloads = [(j, part) for _, parts in sends for j, part in enumerate(parts)]
-        # the 8 B slice index framing each part, plus the part itself
-        # (gradient slices are arrays: read their size directly)
-        nbytes = [
-            8 + (part.nbytes if type(part) is np.ndarray else _payload_nbytes(part))
-            for _, part in payloads
-        ]
+        m, n = len(dsts), len(srcs)
+        if len(part_nbytes) != m:
+            raise ValueError(f"{len(part_nbytes)} part sizes for {m} destinations")
         accepted = self.send_many(
-            [src for src, _ in sends for _ in range(m)],
-            list(dsts) * len(sends),
+            [src for src in srcs for _ in range(m)],
+            list(dsts) * n,
             tag,
-            payloads,
-            nbytes,
+            list(range(m)) * n,
+            list(part_nbytes) * n,
         )
-        delivered = int(np.count_nonzero(accepted))
-        if delivered:
-            self.messages_delivered += delivered
-            get_telemetry().count("comm.messages_delivered", delivered)
-        return accepted.reshape(len(sends), m)
+        if tag not in self._routes:  # a collector counts its own arrivals
+            delivered = int(np.count_nonzero(accepted))
+            if delivered:
+                self.messages_delivered += delivered
+                get_telemetry().count("comm.messages_delivered", delivered)
+        return accepted.reshape(n, m)
 
     def broadcast(
-        self, srcs: list[int], payloads: list[Any], dsts: list[int], tag: str
+        self, srcs: list[int], nbytes: list[int], dsts: list[int], tag: str
     ) -> None:
-        """Send ``payloads[j]`` from ``srcs[j]`` to every rank of ``dsts``
-        but itself, source by source, destination by destination.
+        """Send slice ``j`` (payload ``j``, ``nbytes[j]`` on the wire) from
+        ``srcs[j]`` to every rank of ``dsts`` but itself, source by
+        source, destination by destination.
 
         Nobody receives a broadcast over instantaneous links; with a
         latency model every accepted message is still scheduled, so its
         arrival events move the virtual clock as the per-message loop's
         did.
         """
-        src_ranks, dst_ranks, msgs, sizes = [], [], [], []
-        for src, payload in zip(srcs, payloads):
+        if len(nbytes) != len(srcs):
+            raise ValueError(f"{len(nbytes)} sizes for {len(srcs)} sources")
+        src_ranks, dst_ranks, parts, sizes = [], [], [], []
+        for j, (src, nb) in enumerate(zip(srcs, nbytes)):
             others = [dst for dst in dsts if dst != src]
             src_ranks += [src] * len(others)
             dst_ranks += others
-            msgs += [payload] * len(others)
-            sizes += [_payload_nbytes(payload)] * len(others)
-        self.send_many(src_ranks, dst_ranks, tag, msgs, sizes)
+            parts += [j] * len(others)
+            sizes += [nb] * len(others)
+        self.send_many(src_ranks, dst_ranks, tag, parts, sizes)
 
     # -- accounting ----------------------------------------------------------
 

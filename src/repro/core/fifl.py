@@ -453,7 +453,7 @@ class FIFLMechanism:
         prof = self.profiler
         batch = ctx.batch
         # worker -> full gradient (a row view of the batch)
-        full_grads = batch.to_dict(batch.gradients)
+        full_grads = dict(zip(batch.worker_ids.tolist(), batch.gradients))
         # 1) attack detection on delivered slices: worker -> {server: slice}
         with prof.phase("fifl.detect"):
             benchmarks = self._benchmarks(ctx)

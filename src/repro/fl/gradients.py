@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "RoundBatch",
     "split_gradient",
-    "split_views",
     "recombine",
     "fedavg",
     "slice_bounds",
@@ -70,7 +69,9 @@ def slice_offsets(length: int, num_slices: int) -> np.ndarray:
     return np.asarray([0] + [end for _, end in bounds], dtype=np.intp)
 
 
-def _check_splittable(grad: np.ndarray, num_slices: int) -> None:
+def split_gradient(grad: np.ndarray, num_slices: int) -> list[np.ndarray]:
+    """Split a flat gradient into ``num_slices`` contiguous slices (copies)."""
+    grad = np.asarray(grad, dtype=np.float64)
     if grad.ndim != 1:
         raise ValueError(f"gradient must be flat, got shape {grad.shape}")
     if num_slices <= 0:
@@ -79,31 +80,8 @@ def _check_splittable(grad: np.ndarray, num_slices: int) -> None:
         raise ValueError(
             f"cannot split {grad.size} values into {num_slices} non-trivial slices"
         )
-
-
-def split_gradient(grad: np.ndarray, num_slices: int) -> list[np.ndarray]:
-    """Split a flat gradient into ``num_slices`` contiguous slices (copies)."""
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_splittable(grad, num_slices)
     bounds = _cached_bounds(grad.size, num_slices)
     return [grad[lo:hi].copy() for lo, hi in bounds]
-
-
-def split_views(grad: np.ndarray, num_slices: int) -> list[np.ndarray]:
-    """Like :func:`split_gradient` but returns read-only views (no copies).
-
-    Safe whenever the slices are consumed without mutation — e.g. the
-    trainer's upload path, where each slice is handed to the network and
-    then only read by servers and the mechanism.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_splittable(grad, num_slices)
-    views = []
-    for lo, hi in _cached_bounds(grad.size, num_slices):
-        v = grad[lo:hi]
-        v.flags.writeable = False
-        views.append(v)
-    return views
 
 
 def recombine(slices: list[np.ndarray]) -> np.ndarray:
@@ -277,13 +255,11 @@ class RoundBatch:
         return (weights / total) @ grads
 
     def to_dict(self, values: np.ndarray) -> dict[int, float]:
-        """Pair an aligned result vector back onto worker ids."""
+        """Pair an aligned ``(N,)`` result vector back onto worker ids
+        (keys and values as Python scalars)."""
         values = np.asarray(values)
-        if values.shape[0] != self.num_workers:
+        if values.shape != (self.num_workers,):
             raise ValueError(
-                f"expected {self.num_workers} values, got {values.shape[0]}"
+                f"expected {self.num_workers} values, got shape {values.shape}"
             )
-        return {
-            int(w): v.item() if isinstance(v, np.generic) else v
-            for w, v in zip(self.worker_ids, values)
-        }
+        return dict(zip(self.worker_ids.tolist(), values.tolist()))

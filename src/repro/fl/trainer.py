@@ -3,8 +3,9 @@
 One :class:`FederatedTrainer` drives all three architectures: M = 1 server
 is centralized, 1 < M < N polycentric, M = N decentralized — exactly the
 generalization the paper claims in S3.2. Gradient uploads travel over the
-lossy :class:`~repro.comm.Network`; a lost slice makes that worker's round
-an *uncertain event* (neither positive nor negative for reputation).
+lossy :class:`~repro.comm.Network` as one message per slice (its index
+and wire size); a lost slice makes that worker's round an *uncertain
+event* (neither positive nor negative for reputation).
 
 Each round the trainer stacks the fully delivered gradients once into a
 :class:`~repro.fl.gradients.RoundBatch` (``RoundContext.batch``); server
@@ -51,7 +52,7 @@ from ..sim import FaultScenario, SimRoundRunner, Simulator, make_latency
 from ..telemetry import get_telemetry, profile_delta
 from .evaluation import evaluate
 from .fleet_compute import FleetLocalEngine
-from .gradients import RoundBatch, fedavg, recombine, split_views
+from .gradients import RoundBatch, fedavg, recombine, slice_bounds
 from .workers import Worker, WorkerUpdate
 
 __all__ = [
@@ -63,6 +64,16 @@ __all__ = [
     "TrainingHistory",
     "FederatedTrainer",
 ]
+
+
+def _wire_nbytes(dim: int, num_servers: int) -> tuple[list[int], list[int]]:
+    """Per-slice wire sizes of a round's (upload, broadcast) messages: 8 B
+    per float64, plus an 8 B slice index on uploads only."""
+    if num_servers > dim:
+        raise ValueError(f"cannot split {dim} values into {num_servers} slices")
+    floats = [hi - lo for lo, hi in slice_bounds(dim, num_servers)]
+    return [8 + 8 * f for f in floats], [8 * f for f in floats]
+
 
 @dataclass
 class RoundContext:
@@ -476,18 +487,19 @@ class FederatedTrainer:
                 }
         sim_info = None
         with prof.phase("trainer.upload"):
-            # Step 1.3: every worker sends slice j of its gradient (a
-            # read-only view, no copy) to server j. Collection yields the
-            # (workers, servers) delivery mask.
-            sends = [
-                (wid, split_views(upd.gradient, self.num_servers))
-                for wid, upd in updates.items()
-            ]
+            # Step 1.3: every worker sends slice j of its gradient to
+            # server j — a message of the slice index and its wire size;
+            # servers read the delivered slices from the stacked batch.
+            # Collection yields the (workers, servers) delivery mask.
+            wids = list(updates)
+            up_nbytes, down_nbytes = _wire_nbytes(theta.size, self.num_servers)
             tag = f"slice:{round_idx}"
             if self._sim_runner is not None:
-                mask, sim_info = self._sim_runner.collect(sends, round_idx, plan)
+                mask, sim_info = self._sim_runner.collect(
+                    wids, up_nbytes, round_idx, plan
+                )
             else:
-                mask = self.network.exchange(sends, self.server_ranks, tag)
+                mask = self.network.exchange(wids, self.server_ranks, tag, up_nbytes)
             # Collection is over: close the uplink tag so late slices (sim
             # path) are discarded and no emptied queue outlives the round.
             self.network.cancel_tag(tag)
@@ -495,9 +507,9 @@ class FederatedTrainer:
             # worker: an SLM uncertain event, excluded from aggregation.
             # The fully delivered gradients are stacked once, here.
             complete = mask.all(axis=1)
-            uncertain = {wid for (wid, _), ok in zip(sends, complete) if not ok}
+            uncertain = {wid for wid, ok in zip(wids, complete) if not ok}
             batch = RoundBatch.stack(
-                (updates[wid] for (wid, _), ok in zip(sends, complete) if ok),
+                (updates[wid] for wid, ok in zip(wids, complete) if ok),
                 self.server_ranks,
                 theta.size,
             )
@@ -550,7 +562,7 @@ class FederatedTrainer:
             # about).
             tag = f"global:{round_idx}"
             self.network.broadcast(
-                self.server_ranks, agg_slices, [w.worker_id for w in roster], tag
+                self.server_ranks, down_nbytes, [w.worker_id for w in roster], tag
             )
             # Nobody receives the broadcast: close its tag so its
             # O(N·M) messages are not left in flight for anyone.

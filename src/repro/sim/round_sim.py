@@ -8,13 +8,15 @@ and drives one communication round on the virtual clock:
    link partitions, black out offline nodes' links, and draw the
    round's stragglers from the simulator's seeded stream;
 2. **upload** — each online worker becomes a process-style actor that
-   fires at ``t0 + compute_time`` and sends its gradient slices; a
-   dropped send is retried up to ``max_retries`` times with exponential
-   backoff; each successful send arrives after its sampled latency;
+   fires at ``t0 + compute_time`` and sends its M slice messages (an
+   index and a wire size each); a dropped send is retried up to
+   ``max_retries`` times with exponential backoff; each successful send
+   arrives after its sampled latency;
 3. **collection** — the round routes its uplink tag to a collector
    (:meth:`~repro.comm.Network.route`): every slice that lands is pushed
-   into the round's ``(workers, servers)`` delivery mask, and the worker's
-   resolve time becomes its arrival time. The server cluster runs event
+   into the round's ``(workers, servers)`` delivery mask by
+   ``_RoundState.arrive``, and the worker's resolve time becomes its
+   arrival time. The server cluster runs event
    batches until every slice has resolved (delivered or abandoned) or
    the next event lies past the deadline ``t0 + round_timeout_s``. The
    mask is the same one the direct path gets from
@@ -73,9 +75,9 @@ class _RoundState:
     #: worker rank -> virtual time its last slice arrived
     resolve_at: dict[int, float] = field(default_factory=dict)
 
-    def arrive(self, src: int, dst: int, payload) -> None:
-        """Collector hook: one slice, framed ``(j, part)``, landed."""
-        self.delivered[src, payload[0]] = True
+    def arrive(self, src: int, dst: int, j: int) -> None:
+        """Collector hook: slice ``j`` of worker ``src`` landed."""
+        self.delivered[src, j] = True
         self.resolve_at[src] = self.sim.now
         self.resolved += 1
 
@@ -161,7 +163,7 @@ class SimRoundRunner:
     def _upload_proc(
         self,
         wid: int,
-        parts: list[np.ndarray],
+        part_nbytes: list[int],
         servers: list[int],
         state: _RoundState,
     ):
@@ -175,7 +177,8 @@ class SimRoundRunner:
                 [wid] * len(pending),
                 [servers[j] for j in pending],
                 state.tag,
-                [(j, parts[j]) for j in pending],
+                pending,
+                [part_nbytes[j] for j in pending],
             )
             failed = [j for j, ok in zip(pending, accepted.tolist()) if not ok]
             if not failed:
@@ -193,17 +196,18 @@ class SimRoundRunner:
 
     def collect(
         self,
-        sends: list[tuple[int, list[np.ndarray]]],
+        worker_ids: list[int],
+        part_nbytes: list[int],
         round_idx: int,
         plan: _RoundPlan,
     ) -> tuple[np.ndarray, dict]:
         """Run the round's upload/collection on the virtual clock.
 
-        ``sends`` is ``(worker_id, slice parts)`` in the same order the
-        direct path would send — with zero faults the event schedule
-        replays exactly that order, draw for draw. Returns the
-        ``(len(sends), num_servers)`` delivery mask and the round's sim
-        detail.
+        Each of ``worker_ids`` sends slice ``j`` (``part_nbytes[j]`` on the
+        wire) to server ``j``, in the same order the direct path would
+        send — with zero faults the event schedule replays exactly that
+        order, draw for draw. Returns the ``(len(worker_ids),
+        num_servers)`` delivery mask and the round's sim detail.
         """
         sim = self.sim
         trainer = self.trainer
@@ -229,7 +233,7 @@ class SimRoundRunner:
             and sim.idle()
             and all(v == 0.0 for v in plan.compute_s.values())
         ):
-            return self._collect_fast(sends, tag, plan)
+            return self._collect_fast(worker_ids, part_nbytes, tag, plan)
 
         shape = (trainer.num_workers, len(servers))
         state = _RoundState(
@@ -238,15 +242,15 @@ class SimRoundRunner:
             delivered=np.zeros(shape, dtype=bool),
             abandoned=np.zeros(shape, dtype=bool),
         )
-        for wid, parts in sends:
+        for wid in worker_ids:
             sim.spawn(
-                self._upload_proc(wid, parts, servers, state),
+                self._upload_proc(wid, part_nbytes, servers, state),
                 delay=plan.compute_s.get(wid, 0.0),
             )
 
         # Arrivals push themselves into the state; the cluster only runs
         # event batches until every slice resolved or the deadline cuts.
-        total = len(sends) * len(servers)
+        total = len(worker_ids) * len(servers)
         net.route(tag, state.arrive)
         try:
             while state.resolved < total:
@@ -260,7 +264,6 @@ class SimRoundRunner:
             net.route(tag, None)
         state.closed = True
 
-        worker_ids = [wid for wid, _ in sends]
         mask = state.delivered[worker_ids]
         late = ~(mask | state.abandoned[worker_ids]).all(axis=1)
         if deadline is not None and late.any():
@@ -285,7 +288,11 @@ class SimRoundRunner:
         return mask, sim_info
 
     def _collect_fast(
-        self, sends: list[tuple[int, list[np.ndarray]]], tag: str, plan: _RoundPlan
+        self,
+        worker_ids: list[int],
+        part_nbytes: list[int],
+        tag: str,
+        plan: _RoundPlan,
     ) -> tuple[np.ndarray, dict]:
         """Synchronous replay of a zero-delay round.
 
@@ -298,8 +305,10 @@ class SimRoundRunner:
         """
         trainer = self.trainer
         t0 = self.sim.now
-        mask = trainer.network.exchange(sends, trainer.server_ranks, tag)
-        resolved = [wid for (wid, _), any_ in zip(sends, mask.any(axis=1)) if any_]
+        mask = trainer.network.exchange(
+            worker_ids, trainer.server_ranks, tag, part_nbytes
+        )
+        resolved = [wid for wid, any_ in zip(worker_ids, mask.any(axis=1)) if any_]
         sim_info = {
             "t_start_s": t0,
             "duration_s": 0.0,

@@ -129,11 +129,14 @@ class TestExchange:
         net = Network(5, drop_prob=0.3, seed=4)
         ref = Network(5, drop_prob=0.3, seed=4)
         dsts = [0, 1]
-        sends = [(w, [np.zeros(2), np.ones(3)]) for w in (2, 3, 4, 1)]
-        mask = net.exchange(sends, dsts, "t")
+        srcs = [2, 3, 4, 1]
+        parts = [np.zeros(2), np.ones(3)]
+        # a round message is the slice index plus its wire size: the same
+        # bytes as the framed (j, part) payload the reference sends
+        mask = net.exchange(srcs, dsts, "t", [8 + p.nbytes for p in parts])
         expected = [
             [ref.send(w, d, "t", (j, parts[j])) for j, d in enumerate(dsts)]
-            for w, parts in sends
+            for w in srcs
         ]
         assert mask.shape == (4, 2) and mask.dtype == bool
         assert mask.tolist() == expected
@@ -142,12 +145,30 @@ class TestExchange:
         assert net.bytes_sent == ref.bytes_sent
         # every delivered part was received at once
         assert net.messages_delivered == mask.sum()
-        assert all(net.pending(d, w, "t") == 0 for w, _ in sends for d in dsts)
+        assert all(net.pending(d, w, "t") == 0 for w in srcs for d in dsts)
 
     def test_needs_instantaneous_links(self):
         net = Network(2, latency=ConstantLatency(0.1), sim=Simulator(seed=0))
         with pytest.raises(RuntimeError):
-            net.exchange([(1, [np.zeros(1)])], [0], "t")
+            net.exchange([1], [0], "t", [16])
+
+    def test_routed_tag_counts_each_delivery_once(self):
+        tele = Telemetry()
+        previous = set_telemetry(tele)
+        try:
+            net = Network(3)
+            seen = []
+            net.route("t", lambda src, dst, j: seen.append((src, dst, j)))
+            mask = net.exchange([1, 2], [0], "t", [16])
+            counters = tele.snapshot()["counters"]
+        finally:
+            set_telemetry(previous)
+        assert mask.tolist() == [[True], [True]]
+        assert seen == [(1, 0, 0), (2, 0, 0)]
+        assert net.messages_sent == 2 and net.messages_delivered == 2
+        assert counters["comm.messages_delivered"] == 2
+        # the monitor's comm-accounting invariant
+        assert net.messages_delivered + len(net.drop_log.drops) <= net.messages_sent
 
     def test_rejected_call_leaves_network_unchanged(self):
         """Lengths and ranks are checked before the first drop draw."""
@@ -155,7 +176,7 @@ class TestExchange:
         previous = set_telemetry(tele)
         try:
             net = Network(5, drop_prob=0.3, seed=4)
-            net.exchange([(w, [np.zeros(2), np.ones(3)]) for w in (2, 3)], [0, 1], "a")
+            net.exchange([2, 3], [0, 1], "a", [24, 32])
 
             def state():
                 return (
@@ -168,16 +189,17 @@ class TestExchange:
                 )
 
             before = state()
-            good = (2, [np.zeros(2), np.ones(3)])
             bad_calls = [
-                ([good, (3, [np.zeros(2)])], [0, 1]),  # short parts, 2nd sender
-                ([good, (3, [np.zeros(2)] * 3)], [0, 1]),  # long parts
-                ([good, (7, [np.zeros(2), np.ones(3)])], [0, 1]),  # bad src
-                ([good], [0, 5]),  # bad dst
+                ([2, 3], [0, 1], [24]),  # too few part sizes
+                ([2, 3], [0, 1], [24, 32, 8]),  # too many part sizes
+                ([2, 7], [0, 1], [24, 32]),  # bad src
+                ([2], [0, 5], [24, 32]),  # bad dst
             ]
-            for sends, dsts in bad_calls:
+            for srcs, dsts, sizes in bad_calls:
                 with pytest.raises(ValueError):
-                    net.exchange(sends, dsts, "b")
+                    net.exchange(srcs, dsts, "b", sizes)
+            with pytest.raises(ValueError):
+                net.broadcast([0, 1], [16], [2, 3], "b")
             with pytest.raises(ValueError):
                 net.send_many([2, 3], [0], "b", [1, 2])
             with pytest.raises(ValueError):
@@ -185,6 +207,66 @@ class TestExchange:
             assert state() == before
         finally:
             set_telemetry(previous)
+
+
+class TestBroadcast:
+    SRCS = [0, 1]
+    NBYTES = [16, 24]
+    DSTS = [0, 1, 2, 3, 4]
+
+    def test_link_bytes_are_the_slice_sizes_and_nobody_sends_to_itself(self):
+        net = Network(5)
+        net.broadcast(self.SRCS, self.NBYTES, self.DSTS, "g")
+        assert net.bytes_sent == {
+            (src, dst): nb
+            for src, nb in zip(self.SRCS, self.NBYTES)
+            for dst in self.DSTS
+            if dst != src
+        }
+        assert net.messages_sent == len(self.SRCS) * (len(self.DSTS) - 1)
+        # nobody receives a broadcast over instantaneous links
+        assert net.messages_delivered == 0
+        assert all(
+            net.pending(d, s, "g") == 0 for s in self.SRCS for d in self.DSTS
+        )
+
+    def test_drops_equal_a_per_message_send_many_loop(self):
+        def lossy():
+            n = Network(5, drop_prob=0.4, seed=7)
+            n.block_link(1, 3)
+            n.set_link_drop_prob(0, 2, 0.9)
+            n.fail_node(4)
+            return n
+
+        net, ref = lossy(), lossy()
+        net.broadcast(self.SRCS, self.NBYTES, self.DSTS, "g")
+        for j, (src, nb) in enumerate(zip(self.SRCS, self.NBYTES)):
+            for dst in self.DSTS:
+                if dst != src:
+                    ref.send_many([src], [dst], "g", [j], [nb])
+        assert net.drop_log.drops == ref.drop_log.drops
+        assert 0 < len(net.drop_log.drops) < net.messages_sent
+        assert net.bytes_sent == ref.bytes_sent
+        assert net.messages_sent == ref.messages_sent
+        assert net._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    def test_latency_schedules_every_accepted_message_until_cancelled(self):
+        def queued(net):
+            return sum(net.pending(d, s, "g") for s in self.SRCS for d in self.DSTS)
+
+        scheduled = len(self.SRCS) * (len(self.DSTS) - 1)
+        for cancel in (False, True):
+            sim = Simulator(seed=0)
+            net = Network(5, latency=ConstantLatency(0.1), sim=sim)
+            net.broadcast(self.SRCS, self.NBYTES, self.DSTS, "g")
+            assert net.in_flight == scheduled
+            assert sim.peek() == pytest.approx(0.1)
+            if cancel:
+                net.cancel_tag("g")
+            assert sim.run() == scheduled
+            assert net.in_flight == 0
+            # left open, the arrivals queue up; cancelled, they are discarded
+            assert queued(net) == (0 if cancel else scheduled)
 
 
 class TestAccounting:

@@ -91,8 +91,9 @@ def test_collective_byte_accounting_equals_per_link_sum(n_nodes, sizes, seed):
     for d in others:
         net.send(d, 0, "g", np.zeros(3))
         expected += 24
-    # every other node uploads a 2-value part to node 0, framed (j, part)
-    net.exchange([(d, [np.zeros(2)]) for d in others], [0], "x")
+    # every other node uploads a 2-value part to node 0 (8 B slice index
+    # plus 16 B of floats)
+    net.exchange(others, [0], "x", [8 + 16])
     expected += (8 + 16) * len(others)
     before = net.total_bytes()
     for d in others:
@@ -176,7 +177,13 @@ def _network(cfg):
         net.route(
             "t",
             lambda src, dst, payload: arrivals.append(
-                (sim.now if sim else 0.0, src, dst, payload[0])
+                # a framed (k, part) payload is recorded by its index
+                (
+                    sim.now if sim else 0.0,
+                    src,
+                    dst,
+                    payload[0] if type(payload) is tuple else payload,
+                )
             ),
         )
     return net, arrivals
@@ -235,3 +242,50 @@ def test_send_many_equals_a_loop_of_sends_draw_for_draw(cfg):
         ).tolist()
 
     assert _observed(cfg, batched) == _observed(cfg, loop)
+
+
+@st.composite
+def _exchanges(draw):
+    """An instantaneous network configuration plus one exchange over it."""
+    cfg = draw(_batches())
+    rank = st.integers(0, cfg["n"] - 1)
+    dsts = draw(st.lists(rank, min_size=1, max_size=4))
+    return {
+        **cfg,
+        "latency": False,
+        "srcs": draw(st.lists(rank, max_size=8)),
+        "dsts": dsts,
+        "part_nbytes": draw(
+            st.lists(st.integers(8, 200), min_size=len(dsts), max_size=len(dsts))
+        ),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_exchanges())
+def test_exchange_equals_per_message_send_many_draw_for_draw(cfg):
+    """The upload collective makes exactly the per-message ``send_many``
+    calls' drop draws, drop_log entries, byte accounting, counters and
+    (routed) arrivals, sender by sender, destination by destination;
+    unrouted, it also receives every accepted message at once."""
+    srcs, dsts, sizes = cfg["srcs"], cfg["dsts"], cfg["part_nbytes"]
+
+    def collective(net):
+        mask = net.exchange(srcs, dsts, "t", sizes)
+        assert mask.shape == (len(srcs), len(dsts))
+        return mask.ravel().tolist()
+
+    def loop(net):
+        return [
+            net.send_many([src], [dst], "t", [j], [sizes[j]])[0]
+            for src in srcs
+            for j, dst in enumerate(dsts)
+        ]
+
+    got, want = _observed(cfg, collective), _observed(cfg, loop)
+    if not cfg["routed"]:
+        delivered = sum(got["accepted"])
+        assert got["messages_delivered"] == delivered
+        assert got["counters"].pop("comm.messages_delivered", 0) == delivered
+        got["messages_delivered"] = 0
+    assert got == want

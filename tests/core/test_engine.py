@@ -188,12 +188,20 @@ class TestRoundBatch:
     def test_to_dict_roundtrip_and_shape_guard(self):
         ctx = make_ctx(num_workers=4)
         batch = ctx.batch
-        values = np.arange(4, dtype=np.float64)
-        out = batch.to_dict(values)
-        assert out == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
-        assert all(type(v) is float for v in out.values())
+        cases = [
+            (np.arange(4, dtype=np.float64), [0.0, 1.0, 2.0, 3.0], float),
+            (np.array([True, False, False, True]), [True, False, False, True], bool),
+            (np.arange(4, dtype=np.int64) * 3, [0, 3, 6, 9], int),
+        ]
+        for values, expected, kind in cases:
+            out = batch.to_dict(values)
+            assert out == dict(zip(range(4), expected))
+            assert all(type(w) is int for w in out)
+            assert all(type(v) is kind for v in out.values())
         with pytest.raises(ValueError):
             batch.to_dict(np.arange(3))
+        with pytest.raises(ValueError):
+            batch.to_dict(np.zeros((4, 2)))
 
     def test_row_sqnorms_cached_and_correct(self):
         ctx = make_ctx(num_workers=5)

@@ -46,6 +46,14 @@ class TestConstruction:
         assert make_trainer(server_ranks=[0]).num_servers == 1
         assert make_trainer(server_ranks=[0, 1, 2, 3]).num_servers == 4
 
+    def test_round_rejects_more_servers_than_parameters(self):
+        # logreg here has N_FEATURES * N_CLASSES + N_CLASSES = 27 values:
+        # 28 servers would each need a slice of a 27-value gradient
+        trainer = make_trainer(num_workers=30, server_ranks=range(28))
+        assert trainer.model.num_params < trainer.num_servers
+        with pytest.raises(ValueError, match="cannot split"):
+            trainer.run_round(0)
+
 
 class TestTraining:
     def test_learns_blobs(self):
