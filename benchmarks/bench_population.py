@@ -14,7 +14,11 @@ that promise two ways:
 * **O(cohort) memory assertion** — two populations, 25x apart in size,
   identical cohorts: the bigger one's tracemalloc peak must stay within
   a constant factor of the smaller one's (an O(N) allocation anywhere in
-  the round path fails this immediately);
+  the round path fails this immediately); checked for the uniform and
+  the reputation-weighted sampler (whose draw streams every id's key at
+  O(chunk + k) memory);
+* **weighted draw time** — milliseconds per reputation-weighted cohort
+  draw over 10^5 ids (informational, not a gate);
 * **null-cohort differential** — a full-population uniform cohort must
   reproduce the no-sampler roster trainer bit-for-bit (same accepted
   sets, same final parameters).
@@ -48,11 +52,13 @@ from repro.experiments.common import FedExpConfig, build_population
 from repro.fl import FederatedTrainer, HonestWorker
 from repro.nn import build_logreg
 from repro.parallel import blas_limits
-from repro.population import WorkerPopulation
+from repro.population import ReputationWeightedSampler, WorkerPopulation
 from repro.telemetry import run_manifest, write_manifest
 
 DEFAULT_SIZES = (1_000, 10_000, 100_000, 1_000_000)
 QUICK_SIZES = (1_000, 25_000)
+MEMORY_SAMPLERS = ("uniform", "reputation")
+DRAW_POPULATION = 100_000
 DEFAULT_COHORT = 32
 DEFAULT_ROUNDS = 3
 N_FEATURES = 16
@@ -65,7 +71,8 @@ MEM_FACTOR = 1.6
 MEM_FLOOR_BYTES = 2 << 20
 
 
-def _scale_config(population: int, cohort: int, rounds: int, seed: int = 0) -> FedExpConfig:
+def _scale_config(population: int, cohort: int, rounds: int, seed: int = 0,
+                  sampler: str = "uniform") -> FedExpConfig:
     return FedExpConfig(
         dataset="blobs",
         num_workers=8,
@@ -79,7 +86,7 @@ def _scale_config(population: int, cohort: int, rounds: int, seed: int = 0) -> F
         seed=seed,
         population_size=population,
         cohort_size=cohort,
-        sampler="uniform",
+        sampler=sampler,
         shard_size=16,
     )
 
@@ -100,10 +107,13 @@ def _build_trainer(cfg: FedExpConfig):
     return trainer, population
 
 
-def measure_scale(population: int, cohort: int, rounds: int) -> dict:
+def measure_scale(population: int, cohort: int, rounds: int,
+                  sampler: str = "uniform") -> dict:
     """Rounds/sec and traced peak for one population size (seeded)."""
     tracemalloc.start()
-    trainer, pop = _build_trainer(_scale_config(population, cohort, rounds))
+    trainer, pop = _build_trainer(
+        _scale_config(population, cohort, rounds, sampler=sampler)
+    )
     # pin the BLAS pool so throughput numbers compare machine to machine
     with blas_limits(1):
         t0 = time.perf_counter()
@@ -125,9 +135,10 @@ def measure_scale(population: int, cohort: int, rounds: int) -> dict:
 
 
 def check_cohort_memory(cohort: int, rounds: int,
-                        sizes: tuple[int, int] = QUICK_SIZES) -> dict:
+                        sizes: tuple[int, int] = QUICK_SIZES,
+                        sampler: str = "uniform") -> dict:
     """Traced peak must not scale with population at fixed cohort."""
-    small, big = (measure_scale(n, cohort, rounds) for n in sizes)
+    small, big = (measure_scale(n, cohort, rounds, sampler) for n in sizes)
     bound = MEM_FACTOR * small["peak_bytes"] + MEM_FLOOR_BYTES
     return {
         "small": small,
@@ -175,24 +186,49 @@ def check_null_cohort(num_workers: int = 8, rounds: int = 5,
     return {"rounds": rounds, "bitwise_identical": identical}
 
 
+def time_weighted_draw(cohort: int, population: int = DRAW_POPULATION,
+                       draws: int = 20) -> float:
+    """Median ms per reputation-weighted cohort draw (informational)."""
+    pop = WorkerPopulation(population)
+    rng = np.random.default_rng(0)
+    touched = rng.choice(population, size=cohort * draws, replace=False)
+    pop.write_reputations(
+        dict(zip(touched.tolist(), rng.random(touched.size).tolist()))
+    )
+    sampler = ReputationWeightedSampler(seed=0)
+    sampler.sample(0, pop, cohort, required=(0, 1))  # warm up
+    times = []
+    for t in range(draws):
+        t0 = time.perf_counter()
+        sampler.sample(t, pop, cohort, required=(0, 1))
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)) * 1e3
+
+
 def run_benchmark(sizes=DEFAULT_SIZES, cohort: int = DEFAULT_COHORT,
                   rounds: int = DEFAULT_ROUNDS) -> dict:
     by_size = {}
     for n in sizes:
         by_size[str(n)] = measure_scale(n, cohort, rounds)
-    mem = check_cohort_memory(cohort, rounds)
+    mems = {s: check_cohort_memory(cohort, rounds, sampler=s)
+            for s in MEMORY_SAMPLERS}
     diff = check_null_cohort()
     return {
         "cohort": cohort,
         "rounds": rounds,
         "by_size": by_size,
-        "cohort_memory_ok": mem["ok"],
+        "cohort_memory_ok": all(mem["ok"] for mem in mems.values()),
         "memory_check": {
-            "small_peak_bytes": mem["small"]["peak_bytes"],
-            "big_peak_bytes": mem["big"]["peak_bytes"],
-            "bound_bytes": mem["bound_bytes"],
-            "sizes": [mem["small"]["population"], mem["big"]["population"]],
+            s: {
+                "small_peak_bytes": mem["small"]["peak_bytes"],
+                "big_peak_bytes": mem["big"]["peak_bytes"],
+                "bound_bytes": mem["bound_bytes"],
+                "sizes": [mem["small"]["population"], mem["big"]["population"]],
+                "ok": mem["ok"],
+            }
+            for s, mem in mems.items()
         },
+        "weighted_draw_ms": time_weighted_draw(cohort),
         "bitwise_identical": diff["bitwise_identical"],
     }
 
@@ -209,13 +245,18 @@ def format_report(result: dict) -> list[str]:
             f"({entry['bytes_per_worker']:10.1f} B/worker), "
             f"{entry['seen']} workers touched"
         )
-    mem = result["memory_check"]
+    for sampler, mem in result["memory_check"].items():
+        rows.append(
+            f"  O(cohort) memory, {sampler} sampler "
+            f"({mem['sizes'][0]:,} -> {mem['sizes'][1]:,}): "
+            f"{mem['small_peak_bytes'] / 2**20:.1f} -> "
+            f"{mem['big_peak_bytes'] / 2**20:.1f} MiB "
+            f"(bound {mem['bound_bytes'] / 2**20:.1f}) "
+            f"{'OK' if mem['ok'] else 'VIOLATED'}"
+        )
     rows.append(
-        f"  O(cohort) memory ({mem['sizes'][0]:,} -> {mem['sizes'][1]:,}): "
-        f"{mem['small_peak_bytes'] / 2**20:.1f} -> "
-        f"{mem['big_peak_bytes'] / 2**20:.1f} MiB "
-        f"(bound {mem['bound_bytes'] / 2**20:.1f}) "
-        f"{'OK' if result['cohort_memory_ok'] else 'VIOLATED'}"
+        f"  reputation-weighted draw at N={DRAW_POPULATION:,}: "
+        f"{result['weighted_draw_ms']:.2f} ms (informational, not a gate)"
     )
     rows.append(
         f"  null-cohort differential vs no-sampler roster: "

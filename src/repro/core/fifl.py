@@ -510,7 +510,8 @@ class FIFLMechanism:
         with prof.phase("fifl.incentive"):
             if contribs:
                 reps_for_shares = {
-                    w: reputations.get(w, self.reputation.reputation(w))
+                    w: reputations[w] if w in reputations
+                    else self.reputation.reputation(w)
                     for w in contribs
                 }
                 shares = reward_shares(
@@ -587,10 +588,12 @@ class FIFLMechanism:
         # 4) incentive: masked share arithmetic, budget scaling
         with prof.phase("fifl.incentive"):
             if contrib_vec is not None:
+                # the model is consulted only for ids without a verdict
                 rep_vec = np.asarray(
                     [
-                        reputations.get(int(w), self.reputation.reputation(int(w)))
-                        for w in batch.worker_ids
+                        reputations[w] if w in reputations
+                        else self.reputation.reputation(w)
+                        for w in batch.worker_ids.tolist()
                     ]
                 )
                 share_vec = reward_shares_array(

@@ -13,7 +13,10 @@ O(k) (uniform, availability-aware; rejection sampling with a dense
 fallback when ``k`` approaches ``n``) or O(chunk + k)
 (reputation-weighted; Efraimidis–Spirakis exponential keys streamed
 chunk-by-chunk from the :class:`~repro.population.ReputationStore` with
-a running top-k) — never O(n) for small cohorts.
+a running top-k) — never O(n) for small cohorts. The weighted draw
+computes its n keys in O(n) time but sorts only the keys that can still
+reach the top k (the running best plus each chunk's survivors), which
+relies on the store holding finite reputations only.
 
 ``required`` ids (the server cluster — they produce the detection
 benchmarks) are always included and never count against availability.
@@ -128,8 +131,16 @@ class ReputationWeightedSampler:
     Sampling without replacement with per-item weights: each item gets
     key ``u ** (1/w)`` (u uniform) and the top-k keys win. Keys are
     computed chunk-by-chunk over the population's reputation store with
-    a running top-k, so the full weight vector never materializes. The
-    per-chunk rng is derived from ``(seed, round_idx, chunk_start)``,
+    a running top-k, so the full weight vector never materializes:
+    memory is O(chunk + k). Drawing the keys is O(n) time; sorting is
+    not. Each chunk first drops the keys below the k-th largest of the
+    running best (or, until k are held, of the chunk, found with
+    ``np.partition``), keeping ties, and only those survivors are
+    lexsorted with the running best by (key desc, id asc). Keys of
+    finite reputations lie in [0, 1], which the store guarantees by
+    refusing non-finite values (a NaN key would fail every cut).
+
+    The per-chunk rng is derived from ``(seed, round_idx, chunk_start)``,
     which is what lets a scalar reference replay the identical draws
     (the differential oracle in ``tests/population/test_sampler.py``).
     """
@@ -161,12 +172,22 @@ class ReputationWeightedSampler:
         best_keys = np.empty(0)
         for start, reps in store.iter_chunks():
             keys = self._chunk_keys(round_idx, start, reps)
-            ids = np.arange(start, start + reps.size, dtype=np.int64)
-            if req.size:
-                keep = ~np.isin(ids, req)
-                ids, keys = ids[keep], keys[keep]
-            all_ids = np.concatenate([best_ids, ids])
-            all_keys = np.concatenate([best_keys, keys])
+            # required ids are already in: a negative key (real keys are
+            # >= 0) drops them at the cut below
+            lo, hi = np.searchsorted(req, (start, start + keys.size))
+            keys[req[lo:hi] - start] = -1.0
+            # a key below the k-th largest of the running best, or of the
+            # chunk itself, cannot reach the top k; ties survive the cut,
+            # so the (key desc, id asc) order below stays exact
+            if best_keys.size == k:
+                cut = best_keys[-1]
+            elif keys.size > k:
+                cut = max(np.partition(keys, keys.size - k)[keys.size - k], 0.0)
+            else:
+                cut = 0.0
+            survivors = np.flatnonzero(keys >= cut)
+            all_ids = np.concatenate([best_ids, survivors + start])
+            all_keys = np.concatenate([best_keys, keys[survivors]])
             # top-k by (key desc, id asc) — the id tiebreak keeps the
             # selection deterministic even on (improbable) equal keys
             order = np.lexsort((all_ids, -all_keys))[:k]

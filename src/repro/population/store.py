@@ -10,7 +10,10 @@ live on disk and survive the process.
 
 Round decisions write back through :meth:`write_round`; samplers stream
 the full population through :meth:`iter_chunks` at O(chunk) peak memory
-(untouched chunks yield one shared read-only default block).
+(untouched chunks yield one shared read-only default block). Every value
+is finite: a non-finite ``initial`` or write raises ``ValueError`` before
+anything is stored, because the weighted samplers order ids by keys
+derived from these values.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["ReputationStore"]
+
+
+def _check_finite(values) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("reputations must be finite")
 
 
 class ReputationStore:
@@ -34,6 +42,7 @@ class ReputationStore:
             raise ValueError("size must be positive")
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        _check_finite(initial)
         self.size = int(size)
         self.initial = float(initial)
         self.chunk_size = int(chunk_size)
@@ -94,6 +103,7 @@ class ReputationStore:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != ids.shape:
             raise ValueError("ids and values must align")
+        _check_finite(values)
         if self._dense is not None:
             self._dense[ids] = values
             return
@@ -107,6 +117,8 @@ class ReputationStore:
         """Fold one round's ``{worker_id: reputation}`` verdicts in.
 
         Returns the number of entries written; O(cohort), not O(size).
+        A batch with any non-finite value raises ``ValueError`` and writes
+        nothing.
         """
         if not reputations:
             return 0

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.fifl as fifl_module
 from repro.core import make_mechanism
 from repro.core.fifl import stack_benchmarks
+from repro.core.incentive import reward_shares_array
 from repro.fl.gradients import fedavg, recombine, slice_offsets, split_gradient
 from repro.fl.workers import WorkerUpdate
 from tests.helpers import round_context
@@ -375,6 +377,74 @@ class TestEngineDifferential:
             punish_mode=punish_mode,
             contribution_filter=contribution_filter,
         ))
+
+
+# -- incentive step: reputation lookups ---------------------------------------
+
+
+class TestIncentiveReputationLookup:
+    """The vectorized incentive step asks the reputation model only for
+    ids without a verdict this round, and prices shares exactly as the
+    ``reputations.get(w, model.reputation(w))`` lookup did."""
+
+    def _spied_round(self, monkeypatch, drop=()):
+        mech = make_mechanism("fifl", threshold=0.0, gamma=0.2)
+        mech.process_round(make_ctx(num_workers=10, round_idx=0))
+        model = mech.reputation
+        real_reputation = model.reputation
+        calls, seen = [], {}
+
+        def spy(w):
+            calls.append(w)
+            return real_reputation(w)
+
+        update = mech._update_reputations
+
+        def drop_verdicts(ctx, scores, accepted):
+            outcomes, reps = update(ctx, scores, accepted)
+            seen["reps"] = {w: r for w, r in reps.items() if w not in drop}
+            return outcomes, seen["reps"]
+
+        real_shares = fifl_module.reward_shares_array
+
+        def capture(rep_vec, contrib_vec, punish_mode):
+            seen["rep_vec"], seen["contrib_vec"] = rep_vec, contrib_vec
+            return real_shares(rep_vec, contrib_vec, punish_mode=punish_mode)
+
+        monkeypatch.setattr(model, "reputation", spy)
+        monkeypatch.setattr(mech, "_update_reputations", drop_verdicts)
+        monkeypatch.setattr(fifl_module, "reward_shares_array", capture)
+        ctx = make_ctx(num_workers=10, round_idx=1, uncertain=(6,))
+        mech.process_round(ctx)
+        monkeypatch.undo()
+        # the eager `.get(w, model.reputation(w))` lookup, after the round
+        expected_rep_vec = np.asarray([
+            seen["reps"].get(int(w), model.reputation(int(w)))
+            for w in ctx.batch.worker_ids
+        ])
+        return mech, ctx, calls, seen, expected_rep_vec
+
+    def test_no_model_lookups_when_every_worker_has_a_verdict(self, monkeypatch):
+        mech, ctx, calls, seen, expected_rep_vec = self._spied_round(monkeypatch)
+        assert calls == []
+        np.testing.assert_array_equal(seen["rep_vec"], expected_rep_vec)
+
+    def test_model_consulted_only_for_absent_ids(self, monkeypatch):
+        mech, ctx, calls, seen, expected_rep_vec = self._spied_round(
+            monkeypatch, drop=(3, 8)
+        )
+        assert calls == [3, 8]
+        np.testing.assert_array_equal(seen["rep_vec"], expected_rep_vec)
+        record = mech.records[-1]
+        shares = reward_shares_array(
+            expected_rep_vec, seen["contrib_vec"],
+            punish_mode=mech.config.punish_mode,
+        )
+        ids = ctx.batch.worker_ids.tolist()
+        assert record.shares == dict(zip(ids, shares.tolist()))
+        assert record.rewards == dict(
+            zip(ids, (shares * mech.config.budget_per_round).tolist())
+        )
 
 
 # -- differential on the paper-figure configs ---------------------------------

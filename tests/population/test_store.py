@@ -122,3 +122,44 @@ class TestMemmap:
         total = sum(len(v) for _, v in store.iter_chunks())
         assert total == 100
         assert store.nbytes == 100 * 8
+
+
+class TestFiniteValues:
+    """Non-finite reputations are refused before anything is written."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ReputationStore(10, initial=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_set_many_and_write_round_raise(self, bad):
+        store = ReputationStore(100, chunk_size=16)
+        with pytest.raises(ValueError, match="finite"):
+            store.set_many(np.asarray([3, 40]), np.asarray([0.5, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            store.set(7, bad)
+        with pytest.raises(ValueError, match="finite"):
+            store.write_round({1: 0.2, 2: bad})
+
+    def test_rejected_batch_leaves_store_unchanged(self):
+        store = ReputationStore(100, initial=0.25, chunk_size=16)
+        store.write_round({5: 0.9, 60: -0.3})
+        before = store.as_dict()
+        # the bad value sits in a chunk after the good ones, and one good
+        # id lands in a chunk nobody has touched yet
+        with pytest.raises(ValueError):
+            store.write_round({5: 0.1, 90: 0.4, 61: np.nan})
+        assert store.as_dict() == before
+        assert store.touched_chunks == 2
+        assert store.get(90) == 0.25
+
+    def test_rejected_batch_leaves_memmap_unchanged(self, tmp_path):
+        store = ReputationStore(
+            50, chunk_size=16, path=str(tmp_path / "reps.npy")
+        )
+        store.set(4, 0.7)
+        with pytest.raises(ValueError):
+            store.set_many(np.asarray([4, 30]), np.asarray([0.1, np.inf]))
+        assert store.get(4) == 0.7
+        assert store.get(30) == 0.0
